@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, GeometryError, SynthesisError
 from .scenario import C_LIGHT, DerivedParams, ScenarioConfig
-from .target import ExtendedTarget, TrajectoryState, reference_index, slow_time
+from .target import ExtendedTarget, TrajectoryState, slow_time
 
 GS_MAGIC = b"IVAG"
 
@@ -157,20 +157,8 @@ def qpsk_grid(k_s: int, m_s: int, rng: np.random.Generator) -> np.ndarray:
     return _QPSK_POINTS[rng.integers(0, 4, (k_s, m_s))]
 
 
-# Exponent split for exp(i a k), k = 0..K-1: two small tables outer-multiplied
-# instead of K complex exponentials per (scatterer, symbol).
+# exp(i a k) for k = j*B + b is exp(i a j B) * exp(i a b): two small tables per scatterer.
 _RAMP_BLOCK = 128
-
-
-def _phase_ramps(rates: np.ndarray, k_s: int) -> np.ndarray:
-    """exp(i rates[m] k) for k = 0..k_s-1, shape (k_s, M)."""
-    n_hi = -(-k_s // _RAMP_BLOCK)
-    k_lo = np.arange(_RAMP_BLOCK)
-    k_hi = np.arange(n_hi) * _RAMP_BLOCK
-    lo = np.exp(1j * np.outer(k_lo, rates))          # (B, M)
-    hi = np.exp(1j * np.outer(k_hi, rates))          # (n_hi, M)
-    full = (hi[:, None, :] * lo[None, :, :]).reshape(n_hi * _RAMP_BLOCK, -1)
-    return full[:k_s]
 
 
 def sensing_matrix(
@@ -188,8 +176,10 @@ def sensing_matrix(
 
     Each entry sums the scatterer echoes (exact per-symbol ranges, radar
     equation amplitude, composite beam gain, random scattering phase constant
-    over the CPI) plus receive noise; the transmitted QPSK symbol is multiplied
-    in and divided back out, exercising the full chain.
+    over the CPI) plus receive noise n, reciprocal-filtered by the QPSK symbol
+    x: (gs*x + n)/x, computed as gs + n*conj(x), which rounds identically as
+    both only swap and negate parts for x in {1, i, -1, -i}. Rows are built in
+    blocks of 128 subcarriers that stay in cache.
     """
     k_s, m_s = derived.k_s, scenario.m_s
     if grid.shape != (k_s, m_s):
@@ -227,18 +217,26 @@ def sensing_matrix(
     phase0 = -4.0 * np.pi * scenario.f_c * ranges / C_LIGHT + scatter_phases[:, None]
     weight = amps * np.exp(1j * phase0) * gain(azimuths)        # (L, m_s)
 
-    gs = np.zeros((k_s, m_s), dtype=complex)
     rates = -4.0 * np.pi * scenario.delta_f * ranges / C_LIGHT  # (L, m_s)
-    for l in range(target.count):
-        gs += _phase_ramps(rates[l], k_s) * weight[l][None, :]
-
-    received = gs * grid
+    blocks = [slice(j, j + _RAMP_BLOCK) for j in range(0, k_s, _RAMP_BLOCK)]
+    lo = np.exp(1j * (np.arange(_RAMP_BLOCK)[:, None] * rates[:, None, :]))  # (L, B, m_s)
+    hi = np.exp(1j * (np.arange(0, k_s, _RAMP_BLOCK)[:, None] * rates[:, None, :]))
     if noise:
         scale = np.sqrt(derived.sigma2 / 2.0)
-        received = received + scale * (
-            rng.standard_normal((k_s, m_s)) + 1j * rng.standard_normal((k_s, m_s))
-        )
-    return received / grid
+        re = rng.standard_normal((k_s, m_s))
+        im = rng.standard_normal((k_s, m_s))
+
+    gs = np.zeros((k_s, m_s), dtype=complex)
+    part = np.empty((_RAMP_BLOCK, m_s), dtype=complex)
+    for j, rows in enumerate(blocks):
+        echo = gs[rows]
+        ramp = part[: echo.shape[0]]
+        for l in range(target.count):
+            np.multiply(hi[l, j], lo[l, : echo.shape[0]], out=ramp)
+            echo += np.multiply(ramp, weight[l], out=ramp)
+        if noise:
+            echo += scale * (re[rows] + 1j * im[rows]) * np.conj(grid[rows])
+    return gs
 
 
 def dump_sensing_matrix(path: str, gs: np.ndarray) -> None:

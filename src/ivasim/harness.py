@@ -139,6 +139,14 @@ def trial_seed(master_seed: int, point_index: int, trial_index: int) -> np.rando
 # --------------------------------------------------------------------------
 
 
+_FALLBACK_ROWS = 256  # rows per block of the uncertified pass: 16 MiB at m_p = 4096
+
+
+def _certified(rows: dict, delta_lo: float, delta_hi: float) -> bool:
+    """No stored bin in [delta_lo, delta_hi): thresholding at delta_hi is exact."""
+    return not any(np.any((v >= delta_lo) & (v < delta_hi)) for v in rows.values())
+
+
 def _windowed_image_metrics(
     profiles: tmc.RangeProfileSet,
     derived: DerivedParams,
@@ -152,19 +160,18 @@ def _windowed_image_metrics(
     so rows below the detection threshold bound can be skipped. The survivor
     set is provably identical to the full computation whenever no bin falls
     inside the interval [eps*(pmax - pmin_ub), eps*pmax), where pmin_ub is the
-    smallest computed bin; otherwise every row is computed.
+    smallest computed bin. Otherwise the unstored rows, whose bounds all lie
+    below that interval, are transformed in blocks only for their minimum.
     """
     s = profiles.s
-    k_p, m_s = s.shape
+    k_p = s.shape[0]
     m_p = derived.m_p
     eps = scen.epsilon
 
     doppler = (np.arange(m_p) - m_p // 2) / (m_p * scen.t_sri)
     u_axis = derived.wavelength / (2.0 * snapshot.omega0 * math.cos(snapshot.phi)) * doppler
     range_axis = profiles.axis
-    crop_rows = np.flatnonzero(
-        np.abs(range_axis - snapshot.r0) <= options.crop_half_range
-    )
+    crop_rows = np.flatnonzero(np.abs(range_axis - snapshot.r0) <= options.crop_half_range)
     crop_cols = np.flatnonzero(np.abs(u_axis) <= options.crop_half_crossrange)
     if crop_rows.size == 0 or crop_cols.size == 0:
         raise ConfigurationError("crop window does not intersect the image")
@@ -180,20 +187,16 @@ def _windowed_image_metrics(
         if todo.size == 0:
             return
         block = np.fft.fftshift(np.abs(np.fft.fft(s[todo], n=m_p, axis=1)), axes=1)
-        for pos, idx in enumerate(todo):
-            rows[int(idx)] = block[pos]
+        rows.update(zip(todo.tolist(), block))
 
     by_bound = np.argsort(bound, kind="stable")
     compute(crop_rows)
     compute(by_bound[-64:])  # strongest rows: resolves the global peak
     compute(by_bound[:4])    # weakest rows: tightens the min upper bound
 
-    def computed_max() -> float:
-        return max(float(v.max()) for v in rows.values())
-
     # exact global peak: any row whose bound exceeds the current max may hide it
     while True:
-        pmax = computed_max()
+        pmax = max(float(v.max()) for v in rows.values())
         pending = [i for i in np.flatnonzero(bound > pmax) if i not in rows]
         if not pending:
             break
@@ -211,12 +214,12 @@ def _windowed_image_metrics(
 
     delta_lo = eps * (pmax - pmin_ub)
     delta_hi = eps * pmax
-    certified = pmin_ub == 0.0 or not any(
-        bool(np.any((v >= delta_lo) & (v < delta_hi))) for v in rows.values()
-    )
-    if not certified:
-        compute(np.arange(k_p))
-        pmin = min(float(v.min()) for v in rows.values())
+    if not _certified(rows, delta_lo, delta_hi):
+        rest = np.setdiff1d(np.arange(k_p), np.fromiter(rows, dtype=int))
+        pmin = pmin_ub
+        for start in range(0, rest.size, _FALLBACK_ROWS):
+            block = np.fft.fft(s[rest[start:start + _FALLBACK_ROWS]], n=m_p, axis=1)
+            pmin = min(pmin, float(np.abs(block).min()))
         delta_hi = eps * (pmax - pmin)
 
     # contrast over the crop
@@ -227,8 +230,7 @@ def _windowed_image_metrics(
     ic = float(np.linalg.norm(crop - mu) / (mu * np.sqrt(crop.size)))
 
     # intensity-weighted centroid of the thresholded support
-    weight_total = 0.0
-    moment_total = 0.0
+    weight_total = moment_total = 0.0
     for idx in sorted(rows):
         values = rows[idx]
         mask = values >= delta_hi
@@ -286,20 +288,12 @@ def run_trial(
         scen.rho_f, cfg.traj.speed, cfg.traj.heading_deg
     )
     seed_key = tuple(np.atleast_1d(seed_seq.entropy)) + tuple(seed_seq.spawn_key)
-    want_full = (
-        cfg.options.image_mode == "full" or export_image_path or export_csv_path
-    )
+    want_full = cfg.options.image_mode == "full" or export_image_path or export_csv_path
     if want_full:
         image = imaging.form_image(corrected, derived.m_p, scen.t_sri)
         image = imaging.attach_crossrange(image, snapshot, derived.wavelength)
-        image.meta.update(
-            trial=trial, seed_key=seed_key, rho_f=rho, speed=speed, heading_deg=heading
-        )
         window = metrics.make_crop_window(
-            image,
-            snapshot.r0,
-            cfg.options.crop_half_range,
-            cfg.options.crop_half_crossrange,
+            image, snapshot.r0, cfg.options.crop_half_range, cfg.options.crop_half_crossrange
         )
         ic = metrics.image_contrast(image, window)
         r_hat = metrics.centroid_range(metrics.threshold_image(image, scen.epsilon))
@@ -364,12 +358,17 @@ def load_sweep_spec(path: str | None) -> SweepSpec:
                 raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in stripped.split("=", 1))
             key = key.lower()
-            if key in ("rho_f", "speeds", "headings"):
-                kwargs[key] = tuple(float(v) for v in value.replace(",", " ").split())
-            elif key == "n_mc":
-                kwargs[key] = int(value)
-            else:
+            if key not in ("rho_f", "speeds", "headings", "n_mc"):
                 raise ConfigurationError(f"{path}:{lineno}: unknown sweep key {key!r}")
+            try:
+                if key == "n_mc":
+                    kwargs[key] = int(value)
+                else:
+                    kwargs[key] = tuple(float(v) for v in value.replace(",", " ").split())
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: bad value for {key!r}: {value!r}"
+                ) from exc
     return SweepSpec(**kwargs)
 
 
@@ -538,6 +537,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.workers is not None and args.workers < 1:
+            raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
         if args.sweep is not None or args.n_mc is not None or args.full:
             base_raw = scenario.parse_config_file(args.config) if args.config else {}
             if args.image_mode is not None:

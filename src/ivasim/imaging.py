@@ -10,7 +10,7 @@ through the apparent rotation rate in the image plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,6 @@ class RangeDopplerImage:
     range_axis: np.ndarray               # (k_p,) m
     doppler_axis: np.ndarray             # (m_p,) Hz, zero at center column
     crossrange_axis: np.ndarray | None = None  # (m_p,) m, set when motion known
-    meta: dict = field(default_factory=dict)
 
 
 def form_image(profiles: RangeProfileSet, m_p: int, t_sri: float) -> RangeDopplerImage:

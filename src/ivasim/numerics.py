@@ -42,10 +42,11 @@ def _check_finite(x: np.ndarray, what: str) -> None:
         raise DataError(f"non-finite values in {what}")
 
 
-def fft(x: np.ndarray, n: int, axis: int = -1) -> np.ndarray:
+def fft(x: np.ndarray, n: int, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """n-point DFT, X[j] = sum_i x[i] exp(-i 2 pi i j / n), zero-padding to n.
 
     n must be a power of two; input length along `axis` must not exceed n.
+    With `out`, the result is written there (any strides) and `out` returned.
     """
     n = _check_pow2(n)
     x = np.asarray(x)
@@ -54,7 +55,7 @@ def fft(x: np.ndarray, n: int, axis: int = -1) -> np.ndarray:
             f"input length {x.shape[axis]} exceeds transform size {n}"
         )
     _check_finite(x, "fft input")
-    return np.fft.fft(x, n=n, axis=axis)
+    return np.fft.fft(x, n=n, axis=axis, out=out)
 
 
 def ifft(x: np.ndarray, n: int, axis: int = -1) -> np.ndarray:

@@ -241,11 +241,6 @@ def isorange_approximation(
     return rc + (x * math.cos(rot) - y * math.sin(rot)) * cphi + z * math.sin(snapshot.phi)
 
 
-def centroid_range_model(snapshot: KinematicSnapshot, t: float) -> float:
-    """Quadratic center-range displacement model r0 + v0 t + a0 t^2 / 2."""
-    return snapshot.r0 + snapshot.v0 * t + 0.5 * snapshot.a0 * t * t
-
-
 def _signed_rate(snapshot: KinematicSnapshot, traj: TrajectoryState) -> float:
     """Aspect-angle rate with sign (positive when the center azimuth decreases)."""
     h = traj.heading_rad

@@ -61,11 +61,11 @@ def _signed_shift(index: np.ndarray, k_s: int) -> np.ndarray:
 def estimate_shifts(gs: np.ndarray) -> np.ndarray:
     """Integer range shift of every symbol relative to the mid-CPI reference.
 
-    Pipeline: column-wise FFT across subcarriers (time-reversed range
-    profiles), element-wise modulus, column-wise IFFT, conjugate-reference
-    multiply, IFFT across the row dimension; the per-column correlation argmax
-    maps to a signed shift in [-k_s/2, k_s/2 - 1]. Ties pick the
-    smallest-magnitude shift.
+    Pipeline: FFT across subcarriers (time-reversed range profiles),
+    element-wise modulus, IFFT, conjugate-reference multiply, IFFT; the
+    per-symbol correlation argmax maps to a signed shift in
+    [-k_s/2, k_s/2 - 1]. Ties pick the smallest-magnitude shift. The
+    transforms run in place on one contiguous symbol-major copy of gs.
     """
     gs = np.asarray(gs)
     if gs.ndim != 2 or gs.shape[1] < 2:
@@ -74,18 +74,22 @@ def estimate_shifts(gs: np.ndarray) -> np.ndarray:
     if np.any(~np.any(gs != 0, axis=0)):
         raise DataError("all-zero slow-time column: correlation undefined")
 
-    envelopes = np.abs(np.fft.fft(gs, axis=0))
-    spectra = np.fft.ifft(envelopes, axis=0)
-    reference = spectra[:, m_s // 2 - 1]
-    correlation = np.abs(np.fft.ifft(spectra * np.conj(reference)[:, None], axis=0))
+    buf = np.array(gs.T, dtype=complex, order="C")  # (m_s, k_s), one row per symbol
+    np.fft.fft(buf, axis=1, out=buf)
+    np.abs(buf, out=buf)                            # envelopes, imaginary parts +0
+    np.fft.ifft(buf, axis=1, out=buf)
+    reference = np.conj(buf[m_s // 2 - 1])
+    np.multiply(buf, reference, out=buf)
+    np.fft.ifft(buf, axis=1, out=buf)
+    correlation = np.abs(buf)
 
-    peak = np.argmax(correlation, axis=0)
+    peak = np.argmax(correlation, axis=1)
     shifts = _signed_shift(peak, k_s)
-    col_max = correlation[peak, np.arange(m_s)]
-    tie_cols = np.flatnonzero((correlation == col_max[None, :]).sum(axis=0) > 1)
-    for col in tie_cols:
-        cands = _signed_shift(np.flatnonzero(correlation[:, col] == col_max[col]), k_s)
-        shifts[col] = min(cands, key=lambda q: (abs(q), q))
+    row_max = correlation[np.arange(m_s), peak]
+    tie_rows = np.flatnonzero((correlation == row_max[:, None]).sum(axis=1) > 1)
+    for row in tie_rows:
+        cands = _signed_shift(np.flatnonzero(correlation[row] == row_max[row]), k_s)
+        shifts[row] = min(cands, key=lambda q: (abs(q), q))
     return shifts.astype(int)
 
 
@@ -146,18 +150,20 @@ def range_profiles(gamma: np.ndarray, k_p: int, delta_f: float) -> RangeProfileS
 
     Column-wise k_p-point FFT across subcarriers; the result is time-reversed
     and circularly offset, so a one-bin rotation plus a left-right flip places
-    zero delay at bin 0 with range increasing along the rows.
+    zero delay at bin 0 with range increasing along the rows. Writing the
+    transform into buf[k_p:0:-1] and setting buf[0] = buf[k_p] does both.
     """
     gamma = np.asarray(gamma)
     if k_p < gamma.shape[0]:
         raise ConfigurationError(
             f"k_p={k_p} smaller than the sensing band {gamma.shape[0]}"
         )
-    raw = numerics.fft(gamma, k_p, axis=0)
-    profiles = np.roll(raw[::-1], 1, axis=0)
+    buf = np.empty((k_p + 1,) + gamma.shape[1:], dtype=complex)
+    numerics.fft(gamma, k_p, axis=0, out=buf[k_p:0:-1])
+    buf[0] = buf[k_p]
     range_bin = C_LIGHT / (2.0 * k_p * delta_f)
     return RangeProfileSet(
-        s=profiles,
+        s=buf[:k_p],
         axis=np.arange(k_p) * range_bin,
         phase_corrected=False,
         cpe=None,

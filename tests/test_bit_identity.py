@@ -1,0 +1,140 @@
+"""Bit identity of the blocked front end and range-alignment hot path.
+
+The old formulas are kept here as references: the per-scatterer full-matrix
+phase-ramp accumulation with the reciprocal filter (gs*x + n)/x, the
+column-wise (axis 0) shift estimator, and the roll-based range profiles. The
+current code must reproduce every one of them with np.array_equal, including
+a partial last 128-subcarrier block (k = 2640).
+"""
+
+import numpy as np
+import pytest
+
+from ivasim import frontend, harness, numerics, scenario, tmc
+from ivasim.scenario import C_LIGHT
+from ivasim.target import slow_time
+
+_B = 128
+
+
+def _old_phase_ramps(rates, k_s):
+    n_hi = -(-k_s // _B)
+    lo = np.exp(1j * np.outer(np.arange(_B), rates))
+    hi = np.exp(1j * np.outer(np.arange(n_hi) * _B, rates))
+    return (hi[:, None, :] * lo[None, :, :]).reshape(n_hi * _B, -1)[:k_s]
+
+
+def _old_sensing_matrix(target, traj, scen, derived, gain, grid, rng, noise):
+    k_s, m_s = derived.k_s, scen.m_s
+    scatter_phases = rng.uniform(0.0, 2.0 * np.pi, target.count)
+    t = slow_time(scen, np.arange(m_s))
+    h = traj.heading_rad
+    rot = np.array([[np.cos(h), -np.sin(h), 0.0], [np.sin(h), np.cos(h), 0.0], [0.0, 0.0, 1.0]])
+    body = target.scatterers @ rot.T
+    center = np.array([traj.midpoint[0], traj.midpoint[1], traj.z_c])
+    pos = center[None, None, :] + traj.velocity[None, None, :] * t[None, :, None]
+    pos = pos + body[:, None, :]
+    rel = pos - np.asarray(traj.bs_position, dtype=float)
+    ranges = np.linalg.norm(rel, axis=2)
+    azimuths = np.arctan2(rel[:, :, 1], rel[:, :, 0])
+    g_t = 10.0 ** (scen.g_t_dbi / 10.0)
+    g_r = 10.0 ** (scen.g_r_dbi / 10.0)
+    amps = frontend.channel_gain(ranges, np.asarray(target.rcs)[:, None], scen.f_c, g_t, g_r)
+    phase0 = -4.0 * np.pi * scen.f_c * ranges / C_LIGHT + scatter_phases[:, None]
+    weight = amps * np.exp(1j * phase0) * gain(azimuths)
+    gs = np.zeros((k_s, m_s), dtype=complex)
+    rates = -4.0 * np.pi * scen.delta_f * ranges / C_LIGHT
+    for l in range(target.count):
+        gs += _old_phase_ramps(rates[l], k_s) * weight[l][None, :]
+    received = gs * grid
+    if noise:
+        scale = np.sqrt(derived.sigma2 / 2.0)
+        received = received + scale * (
+            rng.standard_normal((k_s, m_s)) + 1j * rng.standard_normal((k_s, m_s))
+        )
+    return received / grid
+
+
+def _old_estimate_shifts(gs):
+    k_s, m_s = gs.shape
+    envelopes = np.abs(np.fft.fft(gs, axis=0))
+    spectra = np.fft.ifft(envelopes, axis=0)
+    reference = spectra[:, m_s // 2 - 1]
+    correlation = np.abs(np.fft.ifft(spectra * np.conj(reference)[:, None], axis=0))
+    peak = np.argmax(correlation, axis=0)
+    shifts = tmc._signed_shift(peak, k_s)
+    col_max = correlation[peak, np.arange(m_s)]
+    for col in np.flatnonzero((correlation == col_max[None, :]).sum(axis=0) > 1):
+        cands = tmc._signed_shift(np.flatnonzero(correlation[:, col] == col_max[col]), k_s)
+        shifts[col] = min(cands, key=lambda q: (abs(q), q))
+    return shifts.astype(int)
+
+
+def _old_range_profiles(gamma, k_p):
+    return np.roll(numerics.fft(gamma, k_p, axis=0)[::-1], 1, axis=0)
+
+
+def _draw(k, noise, seed=7, **extra):
+    """Sensing matrices from the current and the reference code, same stream."""
+    cfg = harness.load_run_config(
+        overrides={"k": k, "m_s": 48, "noise": noise, "speed": 30, **extra}
+    )
+    scen, derived = cfg.scenario, scenario.derive(cfg.scenario)
+    gain = frontend.make_beams(scen, derived, cfg.options.beam)
+    out = []
+    for build in (frontend.sensing_matrix, _old_sensing_matrix):
+        rng = np.random.default_rng(harness.trial_seed(seed, 0, 0))
+        grid = frontend.qpsk_grid(derived.k_s, scen.m_s, rng)
+        args = (cfg.target, cfg.traj, scen, derived, gain, grid, rng)
+        out.append(build(*args, noise=cfg.options.noise))
+    return out, scen, derived
+
+
+@pytest.mark.parametrize("k", [1024, 2640])
+@pytest.mark.parametrize("noise", ["on", "off"])
+def test_sensing_matrix_matches_reference(k, noise):
+    (new, old), _, derived = _draw(k, noise)
+    assert new.shape == (derived.k_s, 48)
+    assert np.array_equal(new, old)
+    assert new.tobytes() == old.tobytes()  # signed zeros too
+
+
+def test_noiseless_zero_echo_is_positive_zero():
+    """The one bit difference: with noise off, an exactly-zero entry (here the
+    ideal sector misses every scatterer) used to come out of (0*x)/x as -0.0
+    for some symbols x; gs is now returned as accumulated, always +0.0."""
+    out, _, _ = _draw(1024, "off", seed=1, beam="ideal", theta_s_deg=60)
+    new, old = (a.view(float) for a in out)
+    assert np.array_equal(new, old) and not new.any()
+    assert not np.signbit(new).any()
+    assert np.signbit(old).any()
+
+
+@pytest.mark.parametrize("k", [1024, 2640])
+@pytest.mark.parametrize("noise", ["on", "off"])
+def test_alignment_and_profiles_match_reference(k, noise):
+    (gs, _), scen, derived = _draw(k, noise)
+    raw = tmc.estimate_shifts(gs)
+    assert np.array_equal(raw, _old_estimate_shifts(gs))
+    gamma = tmc.align(gs, scen.delta_f).gamma
+    profiles = tmc.range_profiles(gamma, derived.k_p, scen.delta_f).s
+    assert profiles.shape == (derived.k_p, gs.shape[1])
+    assert np.array_equal(profiles, _old_range_profiles(gamma, derived.k_p))
+
+
+def test_estimate_shifts_ties_match_reference():
+    rng = np.random.default_rng(3)
+    gs = rng.standard_normal((96, 9)) + 1j * rng.standard_normal((96, 9))
+    gs[:, 3] = 0.0
+    gs[0, 3] = 1.0  # impulse reference column: every correlation is flat
+    shifts = tmc.estimate_shifts(gs)
+    assert np.array_equal(shifts, _old_estimate_shifts(gs))
+    assert np.all(shifts == 0)
+
+
+def test_estimate_shifts_leaves_input_untouched():
+    rng = np.random.default_rng(4)
+    gs = np.asfortranarray(rng.standard_normal((64, 6)) + 1j * rng.standard_normal((64, 6)))
+    before = gs.copy()
+    tmc.estimate_shifts(gs)  # gs.T is C-contiguous here, so only an explicit copy protects it
+    assert np.array_equal(gs, before)

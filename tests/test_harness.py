@@ -1,10 +1,13 @@
 """Trial orchestration: determinism, sweeps, CLI, config assembly."""
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import run_pipeline
 from ivasim import harness
 from ivasim.errors import ConfigurationError, GeometryError
 from ivasim.harness import (
@@ -253,3 +256,82 @@ class TestCli:
         cfg.write_text("rho_f = 9\n")
         assert main(["--config", str(cfg)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestWindowedFallback:
+    """The uncertified branch, forced: exact threshold from row-block minima."""
+
+    @staticmethod
+    def _all_rows_reference(profiles, derived, scen, snapshot, options):
+        """The former fallback: every row transformed and stored, then the
+        crop contrast and the centroid over rows in index order."""
+        s = profiles.s
+        image = np.fft.fftshift(np.abs(np.fft.fft(s, n=derived.m_p, axis=1)), axes=1)
+        doppler = (np.arange(derived.m_p) - derived.m_p // 2) / (derived.m_p * scen.t_sri)
+        u_axis = derived.wavelength / (
+            2.0 * snapshot.omega0 * math.cos(snapshot.phi)
+        ) * doppler
+        crop_rows = np.flatnonzero(
+            np.abs(profiles.axis - snapshot.r0) <= options.crop_half_range
+        )
+        crop_cols = np.flatnonzero(np.abs(u_axis) <= options.crop_half_crossrange)
+        crop = image[crop_rows][:, crop_cols]
+        mu = float(crop.mean())
+        ic = float(np.linalg.norm(crop - mu) / (mu * np.sqrt(crop.size)))
+        delta = scen.epsilon * (float(image.max()) - float(image.min()))
+        weight_total = moment_total = 0.0
+        for idx in range(s.shape[0]):
+            mask = image[idx] >= delta
+            if mask.any():
+                w = float(image[idx][mask].sum())
+                weight_total += w
+                moment_total += w * float(profiles.axis[idx])
+        return ic, moment_total / weight_total
+
+    @pytest.mark.parametrize("noise", ["on", "off"])
+    def test_forced_fallback_matches_all_rows(self, monkeypatch, noise):
+        run = run_pipeline({"k": 2640, "m_s": 48, "noise": noise}, seed=2)
+        args = (run["corrected"], run["derived"], run["scenario"], run["snapshot"],
+                run["cfg"].options)
+        calls = []
+
+        def uncertified(*a):
+            calls.append(a)
+            return False
+
+        monkeypatch.setattr(harness, "_certified", uncertified)
+        tracemalloc.start()
+        try:
+            got = harness._windowed_image_metrics(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls, "certification was not consulted"
+        assert got == self._all_rows_reference(*args)
+        k_p, m_p = run["derived"].k_p, run["derived"].m_p
+        assert peak < k_p * m_p * 8 / 4
+
+
+class TestCliRejectsBadInput:
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one(self, tmp_path, capsys, workers):
+        sweep = tmp_path / "sweep.txt"
+        sweep.write_text("rho_f = 1.0\nspeeds = 30\nheadings = 300\nn_mc = 1\n")
+        out_dir = tmp_path / "out"
+        code = main(["--sweep", str(sweep), "--workers", workers, "--out", str(out_dir)])
+        assert code == 1
+        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "line, key", [("n_mc = 2.5", "n_mc"), ("speeds = 10 x", "speeds")]
+    )
+    def test_bad_sweep_value_names_file_and_line(self, tmp_path, capsys, line, key):
+        sweep = tmp_path / "sweep.txt"
+        sweep.write_text(f"rho_f = 1.0\n{line}\n")
+        code = main(["--sweep", str(sweep), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{sweep}:2: bad value for {key!r}" in err
+        with pytest.raises(ConfigurationError):
+            load_sweep_spec(str(sweep))
