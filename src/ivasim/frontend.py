@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, GeometryError, SynthesisError
 from .scenario import C_LIGHT, DerivedParams, ScenarioConfig
-from .target import ExtendedTarget, TrajectoryState, slow_time
+from .target import ExtendedTarget, TrajectoryState, scatterer_positions
 
 GS_MAGIC = b"IVAG"
 
@@ -121,10 +121,10 @@ def ideal_sector_gain(
 
 
 def make_beams(
-    scenario: ScenarioConfig, derived: DerivedParams, kind: str = "ls"
+    scenario: ScenarioConfig, derived: DerivedParams, kind: str
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Build the composite gain for a scenario: least-squares wide beams by
-    default, or the ideal sector indicator with ``kind='ideal'``."""
+    """Build the composite gain for a scenario: least-squares wide beams with
+    ``kind='ls'``, or the ideal sector indicator with ``kind='ideal'``."""
     if kind == "ideal":
         return ideal_sector_gain(scenario.theta_s_deg, scenario.beamwidth_t_deg)
     if kind != "ls":
@@ -194,19 +194,7 @@ def sensing_matrix(
             raise ConfigurationError("need one scattering phase per scatterer")
 
     # geometry over the whole CPI: (L, m_s) ranges and azimuths
-    t = slow_time(scenario, np.arange(m_s))
-    h = traj.heading_rad
-    rot = np.array(
-        [
-            [np.cos(h), -np.sin(h), 0.0],
-            [np.sin(h), np.cos(h), 0.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    body = target.scatterers @ rot.T                            # (L, 3)
-    center = np.array([traj.midpoint[0], traj.midpoint[1], traj.z_c])
-    pos = center[None, None, :] + traj.velocity[None, None, :] * t[None, :, None]
-    pos = pos + body[:, None, :]                                # (L, m_s, 3)
+    pos = scatterer_positions(target, traj, scenario, np.arange(m_s))  # (L, m_s, 3)
     rel = pos - np.asarray(traj.bs_position, dtype=float)
     ranges = np.linalg.norm(rel, axis=2)                        # (L, m_s)
     azimuths = np.arctan2(rel[:, :, 1], rel[:, :, 0])

@@ -53,78 +53,25 @@ class RunConfig:
     options: SimOptions = field(default_factory=SimOptions)
 
 
-def _parse_scatterers(text: str) -> ExtendedTarget:
-    points, rcs = [], []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.replace(",", " ").split()
-        if len(parts) != 4:
-            raise ConfigurationError(
-                f"scatterer entry needs 'x y z rcs', got {chunk!r}"
-            )
-        values = [float(v) for v in parts]
-        points.append(values[:3])
-        rcs.append(values[3])
-    if not points:
-        raise ConfigurationError("empty scatterer list")
-    return ExtendedTarget(np.array(points), np.array(rcs))
-
-
-def _parse_bool(key: str, value: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("1", "true", "on", "yes"):
-        return True
-    if lowered in ("0", "false", "off", "no"):
-        return False
-    raise ConfigurationError(f"bad boolean for {key!r}: {value!r}")
-
-
 def run_config_from_raw(raw: dict) -> RunConfig:
     """Assemble the full run configuration from parsed key=value pairs."""
-    scen = scenario.scenario_from_raw(raw)
-    traj = TrajectoryState(
-        midpoint=(float(raw.get("midpoint_x", 60.0)), float(raw.get("midpoint_y", 0.0))),
-        z_c=float(raw.get("z_c", 1.6)),
-        heading_deg=float(raw.get("heading_deg", 270.0)),
-        speed=float(raw.get("speed", 30.0)),
-        bs_position=(
-            float(raw.get("bs_x", 0.0)),
-            float(raw.get("bs_y", 0.0)),
-            float(raw.get("bs_z", 25.0)),
+    values = scenario.read_values(raw)
+    return RunConfig(
+        scenario=scenario.scenario_from_raw(raw),
+        target=(
+            ExtendedTarget(*values["scatterers"])
+            if "scatterers" in values
+            else target.default_vehicle()
         ),
+        traj=target.trajectory_from_values(values),
+        options=SimOptions(**scenario.field_values(SimOptions, values)),
     )
-    tgt = (
-        _parse_scatterers(raw["scatterers"])
-        if "scatterers" in raw
-        else target.default_vehicle()
-    )
-    options = SimOptions(
-        noise=_parse_bool("noise", raw["noise"]) if "noise" in raw else True,
-        beam=raw.get("beam", "ls").strip().lower(),
-        cell_gate=float(raw.get("cell_gate", 0.1)),
-        crop_half_range=float(raw.get("crop_half_range", 6.0)),
-        crop_half_crossrange=float(raw.get("crop_half_crossrange", 4.0)),
-        image_mode=raw.get("image_mode", "windowed").strip().lower(),
-    )
-    if options.beam not in ("ls", "ideal"):
-        raise ConfigurationError(f"beam must be 'ls' or 'ideal', got {options.beam!r}")
-    if options.image_mode not in ("windowed", "full"):
-        raise ConfigurationError(
-            f"image_mode must be 'windowed' or 'full', got {options.image_mode!r}"
-        )
-    return RunConfig(scenario=scen, target=tgt, traj=traj, options=options)
 
 
 def load_run_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
     """Load a config file (defaults when absent) with optional raw overrides."""
     raw = scenario.parse_config_file(path) if path else {}
-    if overrides:
-        for key in overrides:
-            if key not in scenario.KNOWN_KEYS:
-                raise ConfigurationError(f"unknown override key {key!r}")
-        raw = {**raw, **{k: str(v) for k, v in overrides.items()}}
+    raw.update((key, str(value)) for key, value in (overrides or {}).items())
     return run_config_from_raw(raw)
 
 
@@ -348,28 +295,9 @@ class SweepSpec:
 def load_sweep_spec(path: str | None) -> SweepSpec:
     if path is None:
         return SweepSpec()
-    kwargs = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in stripped.split("=", 1))
-            key = key.lower()
-            if key not in ("rho_f", "speeds", "headings", "n_mc"):
-                raise ConfigurationError(f"{path}:{lineno}: unknown sweep key {key!r}")
-            try:
-                if key == "n_mc":
-                    kwargs[key] = int(value)
-                else:
-                    kwargs[key] = tuple(float(v) for v in value.replace(",", " ").split())
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: bad value for {key!r}: {value!r}"
-                ) from exc
-    return SweepSpec(**kwargs)
+    readers = scenario.field_readers(SweepSpec)
+    raw = scenario.parse_config_file(path, readers)
+    return SweepSpec(**scenario.read_values(raw, readers, path))
 
 
 def _point_config(base_raw: dict, heading: float, speed: float, rho: float) -> RunConfig:
@@ -397,7 +325,13 @@ def _sweep_worker(args):
 
 
 def _config_digest(base_raw: dict, spec: SweepSpec, master_seed: int) -> str:
-    canon = repr(sorted(base_raw.items())) + repr(spec) + repr(master_seed)
+    """Digest of the resolved config of every sweep point, the spec and the
+    seed: equal values written differently, or left at their defaults, give
+    the same digest. Resolving the points also rejects a bad one up front."""
+    canon = repr([
+        (c.scenario, c.traj, c.options, c.target.scatterers.tolist(), c.target.rcs.tolist())
+        for c in (_point_config(base_raw, *point) for point in spec.points())
+    ]) + repr(spec) + repr(master_seed)
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
@@ -429,6 +363,7 @@ def run_sweep(
     aggregates. Failed trials are logged and excluded; their count is reported
     in the CSVs. Results are independent of worker count and execution order.
     """
+    digest = _config_digest(base_raw, spec, master_seed)
     os.makedirs(out_dir, exist_ok=True)
     points = spec.points()
     jobs = [
@@ -472,7 +407,6 @@ def run_sweep(
         }
         all_reports.extend(reports)
 
-    digest = _config_digest(base_raw, spec, master_seed)
     header = (
         f"ivasim sweep seed={master_seed} n_mc={spec.n_mc} "
         f"config_sha={digest} git={_git_revision()}"
@@ -539,19 +473,20 @@ def main(argv=None) -> int:
     try:
         if args.workers is not None and args.workers < 1:
             raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
+        raw = scenario.parse_config_file(args.config) if args.config else {}
+        if args.image_mode is not None:
+            raw["image_mode"] = args.image_mode
+        cfg = run_config_from_raw(raw)
+        seed = args.seed if args.seed is not None else cfg.scenario.seed
         if args.sweep is not None or args.n_mc is not None or args.full:
-            base_raw = scenario.parse_config_file(args.config) if args.config else {}
-            if args.image_mode is not None:
-                base_raw["image_mode"] = args.image_mode
             spec = load_sweep_spec(args.sweep)
             if args.full:
                 spec = replace(spec, n_mc=1000)
             if args.n_mc is not None:
                 spec = replace(spec, n_mc=args.n_mc)
-            seed = args.seed if args.seed is not None else int(base_raw.get("seed", 0))
             workers = args.workers or max(1, multiprocessing.cpu_count())
             summary = run_sweep(
-                base_raw, spec, seed, args.out,
+                raw, spec, seed, args.out,
                 workers=workers, trials_csv=args.trials_csv,
             )
             for point, agg in summary.items():
@@ -563,9 +498,6 @@ def main(argv=None) -> int:
                 )
             return 0
 
-        overrides = {"image_mode": args.image_mode} if args.image_mode else None
-        cfg = load_run_config(args.config, overrides=overrides)
-        seed = args.seed if args.seed is not None else cfg.scenario.seed
         os.makedirs(args.out, exist_ok=True)
         image_path = os.path.join(args.out, "image.pgm") if args.export_image else None
         csv_path = os.path.join(args.out, "image.csv") if args.export_image else None

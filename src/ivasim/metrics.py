@@ -22,9 +22,6 @@ from .imaging import RangeDopplerImage
 class CropWindow:
     """Index bounds of the contrast region of interest."""
 
-    center_range: float      # ground-truth centroid range, m
-    half_range: float        # m
-    half_crossrange: float   # m
     rows: np.ndarray
     cols: np.ndarray
 
@@ -42,13 +39,7 @@ def make_crop_window(
     cols = np.flatnonzero(np.abs(image.crossrange_axis) <= half_crossrange)
     if rows.size == 0 or cols.size == 0:
         raise ConfigurationError("crop window does not intersect the image")
-    return CropWindow(
-        center_range=center_range,
-        half_range=half_range,
-        half_crossrange=half_crossrange,
-        rows=rows,
-        cols=cols,
-    )
+    return CropWindow(rows=rows, cols=cols)
 
 
 def image_contrast(image: RangeDopplerImage, window: CropWindow) -> float:

@@ -9,7 +9,7 @@ override any default; unknown keys are rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError
 from .numerics import next_pow2
@@ -122,62 +122,108 @@ def derive(config: ScenarioConfig) -> DerivedParams:
 
 
 # --------------------------------------------------------------------------
-# Config file handling.
+# Config keys and files.
 #
-# One "key = value" pair per line, '#' starts a comment. The file may also
-# carry trajectory/target/simulation keys consumed by the harness; they are
-# all validated here so a typo anywhere in the file is caught.
+# Every key maps to the reader of its value, which raises ValueError on a bad
+# value. Config files and sweep files share one syntax: one "key = value" pair
+# per line, '#' starts a comment. The file may also carry the trajectory,
+# target and simulation keys that the harness consumes; all of them are read
+# here, so a typo anywhere in the file is caught with its line.
 # --------------------------------------------------------------------------
 
-_SCENARIO_FLOAT_KEYS = {
-    "f_c", "delta_f", "t_g", "t_f", "rho_f", "t_sri", "p_t_dbm",
-    "noise_figure_db", "t0", "beamwidth_t_deg", "beamwidth_r_deg",
-    "theta_s_deg", "g_t_dbi", "g_r_dbi", "epsilon",
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def _finite_list(text: str) -> tuple[float, ...]:
+    values = tuple(_finite(v) for v in text.replace(",", " ").split())
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+def _words(table: dict):
+    """Reader of one word of table, in any case, to its value."""
+    def read(text: str):
+        word = text.strip().lower()
+        if word not in table:
+            raise ValueError(f"not one of {sorted(table)}: {text!r}")
+        return table[word]
+    return read
+
+
+def _scatterers(text: str) -> tuple[list, list]:
+    """'x y z rcs; ...' as local positions (L, 3) and cross sections (L,)."""
+    rows = [_finite_list(chunk) for chunk in text.split(";") if chunk.strip()]
+    if not rows or any(len(row) != 4 for row in rows):
+        raise ValueError(f"need 'x y z rcs' entries separated by ';': {text!r}")
+    return [row[:3] for row in rows], [row[3] for row in rows]
+
+
+_TYPE_READERS = {"int": int, "float": _finite, "tuple": _finite_list}
+
+
+def field_readers(cls) -> dict:
+    """Reader of each field of dataclass cls, by its annotated type."""
+    return {f.name: _TYPE_READERS[f.type] for f in fields(cls)}
+
+
+def field_values(cls, values: dict) -> dict:
+    """The entries of values that name a field of dataclass cls."""
+    return {f.name: values[f.name] for f in fields(cls) if f.name in values}
+
+
+KEYS = {
+    **field_readers(ScenarioConfig),
+    **dict.fromkeys(
+        ("midpoint_x", "midpoint_y", "z_c", "heading_deg", "speed", "bs_x", "bs_y", "bs_z",
+         "cell_gate", "crop_half_range", "crop_half_crossrange"),
+        _finite,
+    ),
+    "noise": _words({"1": True, "true": True, "on": True, "yes": True,
+                     "0": False, "false": False, "off": False, "no": False}),
+    "beam": _words({"ls": "ls", "ideal": "ideal"}),
+    "image_mode": _words({"windowed": "windowed", "full": "full"}),
+    "scatterers": _scatterers,
 }
-_SCENARIO_INT_KEYS = {"k", "m", "m_s", "n_t", "n_r", "n_ref", "seed"}
-
-# Extra keys owned by the harness (trajectory, target, simulation knobs).
-HARNESS_FLOAT_KEYS = {
-    "speed", "heading_deg", "midpoint_x", "midpoint_y", "z_c",
-    "bs_x", "bs_y", "bs_z", "cell_gate",
-    "crop_half_range", "crop_half_crossrange",
-}
-HARNESS_STR_KEYS = {"beam", "noise", "scatterers", "image_mode"}
-
-KNOWN_KEYS = (
-    _SCENARIO_FLOAT_KEYS | _SCENARIO_INT_KEYS | HARNESS_FLOAT_KEYS | HARNESS_STR_KEYS
-)
 
 
-def parse_config_file(path: str) -> dict:
-    """Parse a key=value config file into a dict of raw string values."""
+def read_values(raw: dict, readers: dict = KEYS, where: str = "config") -> dict:
+    """Typed values of raw key=value pairs; an error names where they came from."""
+    values = {}
+    for key, value in raw.items():
+        if key not in readers:
+            raise ConfigurationError(f"{where}: unknown key {key!r}")
+        try:
+            values[key] = readers[key](value)
+        except ValueError as exc:
+            raise ConfigurationError(f"{where}: bad value for {key!r}: {value!r}") from exc
+    return values
+
+
+def parse_config_file(path: str, readers: dict = KEYS) -> dict[str, str]:
+    """Parse a key=value file into a dict of raw string values, each checked
+    by its reader."""
     raw: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
+            where = f"{path}:{lineno}"
             if "=" not in stripped:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected 'key = value', got {stripped!r}"
-                )
+                raise ConfigurationError(f"{where}: expected 'key = value', got {stripped!r}")
             key, value = (part.strip() for part in stripped.split("=", 1))
             key = key.lower()
-            if key not in KNOWN_KEYS:
-                raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
             if key in raw:
-                raise ConfigurationError(f"{path}:{lineno}: duplicate key {key!r}")
+                raise ConfigurationError(f"{where}: duplicate key {key!r}")
+            read_values({key: value}, readers, where)
             raw[key] = value
     return raw
-
-
-def _coerce(key: str, value: str, lineno_hint: str):
-    try:
-        if key in _SCENARIO_INT_KEYS:
-            return int(value)
-        return float(value)
-    except ValueError as exc:
-        raise ConfigurationError(f"{lineno_hint}: bad value for {key!r}: {value!r}") from exc
 
 
 def scenario_from_raw(raw: dict) -> ScenarioConfig:
@@ -187,28 +233,19 @@ def scenario_from_raw(raw: dict) -> ScenarioConfig:
     200/5 for 300 deg, following the reference setup); other headings use
     200/5. theta_s_deg defaults to the azimuth of the trajectory midpoint.
     """
-    kwargs = {}
-    for key in _SCENARIO_FLOAT_KEYS | _SCENARIO_INT_KEYS:
-        if key in raw:
-            kwargs[key] = _coerce(key, raw[key], f"config key {key}")
+    from .target import trajectory_from_values  # target imports this module
 
-    heading = float(raw.get("heading_deg", 270.0))
-    near_270 = abs((heading - 270.0 + 180.0) % 360.0 - 180.0) < 1.0
-    if "m_s" not in kwargs:
-        kwargs["m_s"] = 220 if near_270 else 200
-    if "n_ref" not in kwargs:
-        kwargs["n_ref"] = 3 if near_270 else 5
+    values = read_values(raw)
+    traj = trajectory_from_values(values)
+    kwargs = field_values(ScenarioConfig, values)
+    near_270 = abs((traj.heading_deg - 270.0 + 180.0) % 360.0 - 180.0) < 1.0
+    kwargs.setdefault("m_s", 220 if near_270 else 200)
+    kwargs.setdefault("n_ref", 3 if near_270 else 5)
     if "theta_s_deg" not in kwargs:
-        mx = float(raw.get("midpoint_x", 60.0)) - float(raw.get("bs_x", 0.0))
-        my = float(raw.get("midpoint_y", 0.0)) - float(raw.get("bs_y", 0.0))
+        mx = traj.midpoint[0] - traj.bs_position[0]
+        my = traj.midpoint[1] - traj.bs_position[1]
         kwargs["theta_s_deg"] = math.degrees(math.atan2(my, mx))
-
-    try:
-        return ScenarioConfig(**kwargs)
-    except ConfigurationError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(str(exc)) from exc
+    return ScenarioConfig(**kwargs)
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -87,6 +87,19 @@ class TrajectoryState:
         return self.speed * np.array([math.cos(h), math.sin(h), 0.0])
 
 
+def trajectory_from_values(values: dict) -> TrajectoryState:
+    """Trajectory from typed config values; keys not given keep the defaults."""
+    d = TrajectoryState()
+    (mx, my), (bx, by, bz) = d.midpoint, d.bs_position
+    return TrajectoryState(
+        midpoint=(values.get("midpoint_x", mx), values.get("midpoint_y", my)),
+        z_c=values.get("z_c", d.z_c),
+        heading_deg=values.get("heading_deg", d.heading_deg),
+        speed=values.get("speed", d.speed),
+        bs_position=(values.get("bs_x", bx), values.get("bs_y", by), values.get("bs_z", bz)),
+    )
+
+
 @dataclass(frozen=True)
 class KinematicSnapshot:
     """Geometry and motion quantities at the slow-time reference symbol."""
@@ -117,28 +130,25 @@ def scatterer_positions(
     target: ExtendedTarget,
     traj: TrajectoryState,
     scenario: ScenarioConfig,
-    m_s: int,
+    m_s: int | np.ndarray,
 ) -> np.ndarray:
-    """World positions (L, 3) of all scatterers at slow-time index m_s.
+    """World positions of all scatterers at slow-time index m_s: (L, 3) for a
+    scalar index, (L, M, 3) for an array of M indices.
 
     The body orientation is constant (rectilinear motion): local coordinates
-    are rotated by the heading about z and translated by the moving center.
+    are rotated by the heading about z and added to the moving center.
     """
-    if not (0 <= m_s < scenario.m_s):
+    idx = np.asarray(m_s)
+    if np.any((idx < 0) | (idx >= scenario.m_s)):
         raise ConfigurationError(
             f"slow-time index {m_s} outside [0, {scenario.m_s})"
         )
-    t = float(slow_time(scenario, m_s))
-    h = traj.heading_rad
-    rot = np.array(
-        [
-            [math.cos(h), -math.sin(h), 0.0],
-            [math.sin(h), math.cos(h), 0.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    center = np.array([traj.midpoint[0], traj.midpoint[1], traj.z_c]) + traj.velocity * t
-    return center + target.scatterers @ rot.T
+    t = slow_time(scenario, idx)[..., None]
+    cos_h, sin_h = np.cos(traj.heading_rad), np.sin(traj.heading_rad)
+    rot = np.array([[cos_h, -sin_h, 0.0], [sin_h, cos_h, 0.0], [0.0, 0.0, 1.0]])
+    body = (target.scatterers @ rot.T).reshape((-1,) + (1,) * idx.ndim + (3,))
+    center = np.array([traj.midpoint[0], traj.midpoint[1], traj.z_c])
+    return center + traj.velocity * t + body
 
 
 def exact_range(bs_position, position) -> float:
@@ -243,8 +253,7 @@ def isorange_approximation(
 
 def _signed_rate(snapshot: KinematicSnapshot, traj: TrajectoryState) -> float:
     """Aspect-angle rate with sign (positive when the center azimuth decreases)."""
-    h = traj.heading_rad
-    vel = traj.speed * np.array([math.cos(h), math.sin(h)])
+    vel = traj.velocity
     ground = snapshot.r0 * math.cos(snapshot.phi)
     dtheta = (math.cos(snapshot.theta0) * vel[1] - math.sin(snapshot.theta0) * vel[0]) / ground
     return -dtheta

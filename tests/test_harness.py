@@ -3,12 +3,13 @@
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import run_pipeline
-from ivasim import harness
+from ivasim import harness, scenario
 from ivasim.errors import ConfigurationError, GeometryError
 from ivasim.harness import (
     SweepSpec,
@@ -335,3 +336,92 @@ class TestCliRejectsBadInput:
         assert f"{sweep}:2: bad value for {key!r}" in err
         with pytest.raises(ConfigurationError):
             load_sweep_spec(str(sweep))
+
+
+class TestConfigValuesCheckedAtParse:
+    """Every bad value ends at the line that holds it, before any trial runs."""
+
+    CONFIG_CASES = [
+        ("speed = fast", "speed"),
+        ("cell_gate = abc", "cell_gate"),
+        ("scatterers = 1 2 x 1", "scatterers"),
+        ("heading_deg = nan", "heading_deg"),
+        ("speed = inf", "speed"),
+        ("beam = wide", "beam"),
+    ]
+    SWEEP_CONFIG_CASES = CONFIG_CASES + [("seed = fast", "seed"), ("z_c = nan", "z_c")]
+
+    @pytest.fixture(autouse=True)
+    def no_trials(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", forbidden)
+
+    @staticmethod
+    def _check_cli(argv, path, key, capsys, out_dir):
+        assert main(argv + ["--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:2: bad value for {key!r}" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("line, key", CONFIG_CASES)
+    def test_single_trial(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"rho_f = 0.2\n{line}\n")
+        self._check_cli(["--config", str(cfg)], cfg, key, capsys, tmp_path / "out")
+
+    @pytest.mark.parametrize("line, key", SWEEP_CONFIG_CASES)
+    def test_sweep_config(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"rho_f = 0.2\n{line}\n")
+        sweep = tmp_path / "sweep.txt"
+        sweep.write_text("rho_f = 0.2\nspeeds = 10\nheadings = 300\nn_mc = 1\n")
+        argv = ["--config", str(cfg), "--sweep", str(sweep), "--workers", "1"]
+        self._check_cli(argv, cfg, key, capsys, tmp_path / "out")
+
+    def test_sweep_file(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.txt"
+        sweep.write_text("rho_f = 0.2\nspeeds = 10 nan\n")
+        argv = ["--sweep", str(sweep), "--workers", "1"]
+        self._check_cli(argv, sweep, "speeds", capsys, tmp_path / "out")
+
+    @pytest.mark.parametrize("line, key", SWEEP_CONFIG_CASES)
+    def test_override(self, line, key):
+        value = line.split("=", 1)[1].strip()
+        with pytest.raises(ConfigurationError, match=f"bad value for {key!r}"):
+            load_run_config(overrides={key: value})
+
+
+class TestDefaultConfig:
+    DEFAULT_CFG = str(Path(__file__).parent.parent / "configs" / "default.cfg")
+
+    def test_default_file_equals_empty_config(self):
+        from_file, empty = load_run_config(self.DEFAULT_CFG), load_run_config()
+        assert from_file.scenario == empty.scenario
+        assert from_file.traj == empty.traj
+        assert from_file.options == empty.options
+        assert np.array_equal(from_file.target.scatterers, empty.target.scatterers)
+        assert np.array_equal(from_file.target.rcs, empty.target.rcs)
+
+    def test_config_digest_hashes_resolved_values(self):
+        spec = SweepSpec(rho_f=(0.2,), speeds=(10.0,), headings=(270.0, 300.0), n_mc=1)
+
+        def digest(raw):
+            return harness._config_digest(raw, spec, 0)
+
+        base = digest({})
+        assert digest(scenario.parse_config_file(self.DEFAULT_CFG)) == base
+        assert digest({"z_c": "1.6", "noise": "on"}) == digest({"z_c": "1.60", "noise": "yes"})
+        assert digest({"z_c": "1.7"}) != base
+        # at 300 deg the explicit 270-deg values differ from the heading default
+        assert digest({"m_s": "220", "n_ref": "3"}) != base
+
+    def test_header_digest_ignores_spelling(self, tmp_path):
+        spec = SweepSpec(rho_f=(1.0,), speeds=(30.0,), headings=(300.0,), n_mc=1)
+        headers = []
+        for name, z_c in (("a", "1.6"), ("b", "1.60")):
+            run_sweep(fast_raw(z_c=z_c), spec, master_seed=0, out_dir=str(tmp_path / name))
+            headers.append((tmp_path / name / "rmse_vs_rhof.csv").read_text().splitlines()[0])
+        assert headers[0] == headers[1]

@@ -50,6 +50,23 @@ class TestPositions:
         with pytest.raises(ConfigurationError):
             scatterer_positions(default_vehicle(), TrajectoryState(), scen, scen.m_s)
 
+    def test_index_array_matches_scalar_calls(self, scen):
+        tgt = default_vehicle()
+        traj = TrajectoryState(heading_deg=300.0, speed=20.0)
+        idx = np.arange(scen.m_s)
+        stacked = np.stack([scatterer_positions(tgt, traj, scen, int(m)) for m in idx], axis=1)
+        got = scatterer_positions(tgt, traj, scen, idx)
+        assert got.shape == (tgt.count, scen.m_s, 3)
+        assert np.array_equal(got, stacked)
+
+    @pytest.mark.parametrize("bad", [-1, 220])
+    @pytest.mark.parametrize("where", [0, 100, -1])
+    def test_index_array_bounds(self, scen, bad, where):
+        idx = np.arange(scen.m_s)
+        idx[where] = bad
+        with pytest.raises(ConfigurationError):
+            scatterer_positions(default_vehicle(), TrajectoryState(), scen, idx)
+
     def test_rigid_body(self, scen):
         tgt = default_vehicle()
         traj = TrajectoryState(heading_deg=300.0, speed=30.0)
