@@ -8,16 +8,16 @@ with a worker pool and write the contrast/RMSE result tables.
 Monte Carlo trials evaluate the image metrics through a windowed evaluator
 that only Doppler-processes rows which can mathematically contribute to the
 peak, the thresholded support, or the contrast crop (each row's transform
-magnitude is bounded by its slow-time L1 norm). The evaluator certifies that
-its result is identical to the full-image computation and falls back to the
-full image when the certification margin is violated.
+magnitude is bounded by its slow-time L1 norm), then takes contrast and
+centroid from ``metrics`` over those rows. The evaluator certifies that its
+detection threshold is exact, and when it cannot, fixes it from the minimum
+of the remaining rows.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import multiprocessing
 import os
 import subprocess
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import frontend, imaging, metrics, scenario, target, tmc
-from .errors import ConfigurationError, GeometryError, SimulationError
+from .errors import ConfigurationError, DataError, GeometryError, SimulationError
 from .metrics import MetricsReport
 from .scenario import DerivedParams, ScenarioConfig
 from .target import ExtendedTarget, KinematicSnapshot, TrajectoryState
@@ -86,12 +86,9 @@ def trial_seed(master_seed: int, point_index: int, trial_index: int) -> np.rando
 # --------------------------------------------------------------------------
 
 
-_FALLBACK_ROWS = 256  # rows per block of the uncertified pass: 16 MiB at m_p = 4096
-
-
-def _certified(rows: dict, delta_lo: float, delta_hi: float) -> bool:
+def _certified(p: np.ndarray, delta_lo: float, delta_hi: float) -> bool:
     """No stored bin in [delta_lo, delta_hi): thresholding at delta_hi is exact."""
-    return not any(np.any((v >= delta_lo) & (v < delta_hi)) for v in rows.values())
+    return not np.any((p >= delta_lo) & (p < delta_hi))
 
 
 def _windowed_image_metrics(
@@ -109,85 +106,63 @@ def _windowed_image_metrics(
     inside the interval [eps*(pmax - pmin_ub), eps*pmax), where pmin_ub is the
     smallest computed bin. Otherwise the unstored rows, whose bounds all lie
     below that interval, are transformed in blocks only for their minimum.
+    The metrics are then taken over the stored rows, in index order.
     """
     s = profiles.s
-    k_p = s.shape[0]
     m_p = derived.m_p
     eps = scen.epsilon
-
-    doppler = (np.arange(m_p) - m_p // 2) / (m_p * scen.t_sri)
-    u_axis = derived.wavelength / (2.0 * snapshot.omega0 * math.cos(snapshot.phi)) * doppler
-    range_axis = profiles.axis
-    crop_rows = np.flatnonzero(np.abs(range_axis - snapshot.r0) <= options.crop_half_range)
-    crop_cols = np.flatnonzero(np.abs(u_axis) <= options.crop_half_crossrange)
-    if crop_rows.size == 0 or crop_cols.size == 0:
-        raise ConfigurationError("crop window does not intersect the image")
-
     bound = np.abs(s).sum(axis=1)  # max_q |row DFT| <= sum_m |s[n, m]|
     if bound.max() <= 0.0:
-        raise SimulationError("all-zero profiles: image metrics undefined")
+        raise DataError("all-zero profiles: image metrics undefined")
 
     rows = {}
 
-    def compute(indices: np.ndarray) -> None:
-        todo = np.asarray([i for i in indices if i not in rows], dtype=int)
-        if todo.size == 0:
-            return
-        block = np.fft.fftshift(np.abs(np.fft.fft(s[todo], n=m_p, axis=1)), axes=1)
-        rows.update(zip(todo.tolist(), block))
+    def compute(indices) -> None:
+        todo = [int(i) for i in indices if i not in rows]
+        if todo:
+            rows.update(zip(todo, imaging.doppler_rows(s[todo], m_p)))
 
     by_bound = np.argsort(bound, kind="stable")
-    compute(crop_rows)
+    compute(np.flatnonzero(np.abs(profiles.axis - snapshot.r0) <= options.crop_half_range))
     compute(by_bound[-64:])  # strongest rows: resolves the global peak
     compute(by_bound[:4])    # weakest rows: tightens the min upper bound
 
-    # exact global peak: any row whose bound exceeds the current max may hide it
+    # rows that could hold a thresholded survivor or, since delta_lo < pmax,
+    # the global peak
     while True:
         pmax = max(float(v.max()) for v in rows.values())
-        pending = [i for i in np.flatnonzero(bound > pmax) if i not in rows]
-        if not pending:
-            break
-        compute(np.asarray(pending))
-    pmin_ub = min(float(v.min()) for v in rows.values())
-
-    # rows that could contain thresholded survivors
-    while True:
+        pmin_ub = min(float(v.min()) for v in rows.values())
         delta_lo = eps * (pmax - pmin_ub)
         pending = [i for i in np.flatnonzero(bound >= delta_lo) if i not in rows]
         if not pending:
             break
-        compute(np.asarray(pending))
-        pmin_ub = min(pmin_ub, min(float(rows[i].min()) for i in pending))
+        compute(pending)
 
-    delta_lo = eps * (pmax - pmin_ub)
+    picked = sorted(rows)
+    image = imaging.attach_crossrange(
+        imaging.RangeDopplerImage(
+            p=np.stack([rows[i] for i in picked]),
+            range_axis=profiles.axis[picked],
+            doppler_axis=imaging.doppler_axis(m_p, scen.t_sri),
+        ),
+        snapshot,
+        derived.wavelength,
+    )
     delta_hi = eps * pmax
-    if not _certified(rows, delta_lo, delta_hi):
-        rest = np.setdiff1d(np.arange(k_p), np.fromiter(rows, dtype=int))
-        pmin = pmin_ub
-        for start in range(0, rest.size, _FALLBACK_ROWS):
-            block = np.fft.fft(s[rest[start:start + _FALLBACK_ROWS]], n=m_p, axis=1)
-            pmin = min(pmin, float(np.abs(block).min()))
+    if not _certified(image.p, delta_lo, delta_hi):
+        rest = np.setdiff1d(np.arange(s.shape[0]), picked)
+        pmin = min([pmin_ub] + [
+            float(imaging.doppler_rows(s[rest[i:i + imaging.ROW_BLOCK]], m_p).min())
+            for i in range(0, rest.size, imaging.ROW_BLOCK)
+        ])
         delta_hi = eps * (pmax - pmin)
 
-    # contrast over the crop
-    crop = np.stack([rows[int(r)] for r in crop_rows])[:, crop_cols]
-    mu = float(crop.mean())
-    if mu == 0.0:
-        raise SimulationError("contrast undefined: zero-mean crop")
-    ic = float(np.linalg.norm(crop - mu) / (mu * np.sqrt(crop.size)))
-
-    # intensity-weighted centroid of the thresholded support
-    weight_total = moment_total = 0.0
-    for idx in sorted(rows):
-        values = rows[idx]
-        mask = values >= delta_hi
-        if mask.any():
-            w = float(values[mask].sum())
-            weight_total += w
-            moment_total += w * float(range_axis[idx])
-    if weight_total <= 0.0:
-        raise SimulationError("no detection: empty thresholded support")
-    return ic, moment_total / weight_total
+    window = metrics.make_crop_window(
+        image, snapshot.r0, options.crop_half_range, options.crop_half_crossrange
+    )
+    ic = metrics.image_contrast(image, window)
+    support = replace(image, p=np.where(image.p >= delta_hi, image.p, 0.0))
+    return ic, metrics.centroid_range(support)
 
 
 # --------------------------------------------------------------------------
@@ -199,7 +174,6 @@ def run_trial(
     cfg: RunConfig,
     seed_seq: np.random.SeedSequence,
     trial: int = 0,
-    point: tuple[float, float, float] | None = None,
     export_image_path: str | None = None,
     export_csv_path: str | None = None,
     dump_gs_path: str | None = None,
@@ -231,10 +205,6 @@ def run_trial(
     if dump_tmc_path:
         tmc.write_debug_csv(dump_tmc_path, aligned, cpe)
 
-    rho, speed, heading = point if point else (
-        scen.rho_f, cfg.traj.speed, cfg.traj.heading_deg
-    )
-    seed_key = tuple(np.atleast_1d(seed_seq.entropy)) + tuple(seed_seq.spawn_key)
     want_full = cfg.options.image_mode == "full" or export_image_path or export_csv_path
     if want_full:
         image = imaging.form_image(corrected, derived.m_p, scen.t_sri)
@@ -255,10 +225,10 @@ def run_trial(
 
     return MetricsReport(
         trial=trial,
-        seed_key=seed_key,
-        rho_f=rho,
-        speed=speed,
-        heading_deg=heading,
+        seed_key=tuple(np.atleast_1d(seed_seq.entropy)) + tuple(seed_seq.spawn_key),
+        rho_f=scen.rho_f,
+        speed=cfg.traj.speed,
+        heading_deg=cfg.traj.heading_deg,
         ic=ic,
         centroid_range_est=r_hat,
         truth_range=snapshot.r0,
@@ -310,15 +280,9 @@ def _point_config(base_raw: dict, heading: float, speed: float, rho: float) -> R
 
 def _sweep_worker(args):
     base_raw, master_seed, point_idx, point, trial_idx = args
-    heading, speed, rho = point
     try:
-        cfg = _point_config(base_raw, heading, speed, rho)
-        report = run_trial(
-            cfg,
-            trial_seed(master_seed, point_idx, trial_idx),
-            trial=trial_idx,
-            point=(rho, speed, heading),
-        )
+        cfg = _point_config(base_raw, *point)
+        report = run_trial(cfg, trial_seed(master_seed, point_idx, trial_idx), trial=trial_idx)
         return point_idx, trial_idx, report, None
     except SimulationError as exc:
         return point_idx, trial_idx, None, f"{type(exc).__name__}: {exc}"
@@ -371,30 +335,20 @@ def run_sweep(
         for p_idx, point in enumerate(points)
         for t_idx in range(spec.n_mc)
     ]
-    results = {}
     if workers > 1:
         with multiprocessing.Pool(processes=workers) as pool:
-            for item in pool.imap_unordered(_sweep_worker, jobs, chunksize=1):
-                results[(item[0], item[1])] = item[2:]
+            results = list(pool.imap(_sweep_worker, jobs, chunksize=1))
     else:
-        for job in jobs:
-            item = _sweep_worker(job)
-            results[(item[0], item[1])] = item[2:]
+        results = [_sweep_worker(job) for job in jobs]
 
     summary = {}
     all_reports = []
     for p_idx, point in enumerate(points):
-        reports, failures = [], []
-        for t_idx in range(spec.n_mc):
-            report, error = results[(p_idx, t_idx)]
+        outcomes = results[p_idx * spec.n_mc:(p_idx + 1) * spec.n_mc]
+        reports = [report for _, _, report, _ in outcomes if report is not None]
+        for _, t_idx, report, error in outcomes:
             if report is None:
-                failures.append((t_idx, error))
-            else:
-                reports.append(report)
-        for t_idx, error in failures:
-            print(
-                f"trial failed: point={point} trial={t_idx}: {error}", file=log
-            )
+                print(f"trial failed: point={point} trial={t_idx}: {error}", file=log)
         if reports:
             ic_mean, rmse = metrics.aggregate(reports)
         else:
@@ -403,7 +357,7 @@ def run_sweep(
             "ic_mean": ic_mean,
             "rmse_c": rmse,
             "n_ok": len(reports),
-            "n_failed": len(failures),
+            "n_failed": spec.n_mc - len(reports),
         }
         all_reports.extend(reports)
 
@@ -411,29 +365,18 @@ def run_sweep(
         f"ivasim sweep seed={master_seed} n_mc={spec.n_mc} "
         f"config_sha={digest} git={_git_revision()}"
     )
-
-    ic_path = os.path.join(out_dir, "ic_mean_vs_rhof.csv")
-    with open(ic_path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {header}\n")
-        fh.write("rho_f,speed,n_trials,n_failed,ic_mean\n")
-        for (heading, speed, rho), agg in summary.items():
-            if abs(heading - 300.0) > 1e-9:
-                continue
-            fh.write(
-                f"{rho:.10g},{speed:.10g},{agg['n_ok']},{agg['n_failed']},"
-                f"{agg['ic_mean']:.10g}\n"
-            )
-
-    rmse_path = os.path.join(out_dir, "rmse_vs_rhof.csv")
-    with open(rmse_path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {header}\n")
-        fh.write("heading_deg,speed,rho_f,n_trials,n_failed,rmse_c\n")
-        for (heading, speed, rho), agg in summary.items():
-            fh.write(
-                f"{heading:.10g},{speed:.10g},{rho:.10g},{agg['n_ok']},"
-                f"{agg['n_failed']},{agg['rmse_c']:.10g}\n"
-            )
-
+    metrics.write_table(
+        os.path.join(out_dir, "ic_mean_vs_rhof.csv"), header,
+        ("rho_f", "speed", "n_trials", "n_failed", "ic_mean"),
+        [(rho, speed, agg["n_ok"], agg["n_failed"], agg["ic_mean"])
+         for (heading, speed, rho), agg in summary.items() if abs(heading - 300.0) <= 1e-9],
+    )
+    metrics.write_table(
+        os.path.join(out_dir, "rmse_vs_rhof.csv"), header,
+        ("heading_deg", "speed", "rho_f", "n_trials", "n_failed", "rmse_c"),
+        [(heading, speed, rho, agg["n_ok"], agg["n_failed"], agg["rmse_c"])
+         for (heading, speed, rho), agg in summary.items()],
+    )
     if trials_csv:
         metrics.write_trials_csv(
             os.path.join(out_dir, "trials.csv"), all_reports, header

@@ -19,7 +19,7 @@ from .errors import ConfigurationError, DataError, GeometryError
 from .target import KinematicSnapshot
 from .tmc import RangeProfileSet
 
-_ROW_BLOCK = 4096  # bounds the complex intermediate while transforming rows
+ROW_BLOCK = 256  # rows per transform block: 16 MiB of complex bins at m_p = 4096
 
 
 @dataclass(frozen=True)
@@ -32,25 +32,32 @@ class RangeDopplerImage:
     crossrange_axis: np.ndarray | None = None  # (m_p,) m, set when motion known
 
 
-def form_image(profiles: RangeProfileSet, m_p: int, t_sri: float) -> RangeDopplerImage:
-    """Doppler-process phase-corrected profiles into a magnitude image.
+def doppler_axis(m_p: int, t_sri: float) -> np.ndarray:
+    """Doppler frequency per image column, Hz: zero at the center column,
+    bin spacing 1 / (m_p * t_sri)."""
+    return (np.arange(m_p) - m_p // 2) / (m_p * t_sri)
 
-    Per range row, the m_p-point transform of the slow-time samples
-    (zero-padded) is taken in magnitude; columns are then circularly shifted so
-    zero Doppler is the center column, with bin spacing 1 / (m_p * t_sri).
-    """
+
+def doppler_rows(s: np.ndarray, m_p: int) -> np.ndarray:
+    """Image rows of slow-time samples s: the magnitude of each row's m_p-point
+    transform (zero-padded), zero Doppler circularly shifted to the center."""
+    return np.fft.fftshift(np.abs(numerics.fft(s, m_p, axis=1)), axes=1)
+
+
+def form_image(profiles: RangeProfileSet, m_p: int, t_sri: float) -> RangeDopplerImage:
+    """Doppler-process phase-corrected profiles into a magnitude image, one
+    block of rows at a time."""
     if not profiles.phase_corrected:
         raise ConfigurationError("image formation expects phase-corrected profiles")
     k_p, m_s = profiles.s.shape
     if m_p < 10 * m_s:
         raise ConfigurationError(f"m_p={m_p} below the 10x slow-time padding floor")
-    out = np.empty((k_p, m_p), dtype=float)
-    for start in range(0, k_p, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, k_p)
-        out[start:stop] = np.abs(numerics.fft(profiles.s[start:stop], m_p, axis=1))
-    p = np.fft.fftshift(out, axes=1)
-    doppler = (np.arange(m_p) - m_p // 2) / (m_p * t_sri)
-    return RangeDopplerImage(p=p, range_axis=profiles.axis.copy(), doppler_axis=doppler)
+    p = np.empty((k_p, m_p), dtype=float)
+    for start in range(0, k_p, ROW_BLOCK):
+        p[start:start + ROW_BLOCK] = doppler_rows(profiles.s[start:start + ROW_BLOCK], m_p)
+    return RangeDopplerImage(
+        p=p, range_axis=profiles.axis.copy(), doppler_axis=doppler_axis(m_p, t_sri)
+    )
 
 
 def crossrange_axis(

@@ -44,7 +44,7 @@ def make_crop_window(
 
 def image_contrast(image: RangeDopplerImage, window: CropWindow) -> float:
     """Normalized standard deviation of the cropped image."""
-    crop = image.p[np.ix_(window.rows, window.cols)]
+    crop = image.p[window.rows][:, window.cols]
     mu = float(crop.mean())
     if mu == 0.0:
         raise DataError("contrast undefined: zero-mean crop")
@@ -66,12 +66,21 @@ def threshold_image(image: RangeDopplerImage, epsilon: float) -> RangeDopplerIma
 
 
 def centroid_range(image: RangeDopplerImage) -> float:
-    """Intensity-weighted centroid of the (thresholded) image along range."""
-    weights = image.p.sum(axis=1)
-    total = float(weights.sum())
-    if total <= 0.0:
+    """Intensity-weighted centroid of the (thresholded) image along range.
+
+    Row weights are summed over the nonzero bins only and accumulated in
+    row-index order, so an image holding a subset of the rows gives the same
+    bits as the full image whenever the omitted rows are all zero.
+    """
+    weight_total = moment_total = 0.0
+    for idx in np.flatnonzero(image.p.any(axis=1)):
+        row = image.p[idx]
+        w = float(row[row != 0].sum())
+        weight_total += w
+        moment_total += w * float(image.range_axis[idx])
+    if weight_total <= 0.0:
         raise DataError("no detection: empty thresholded support")
-    return float(weights @ image.range_axis / total)
+    return moment_total / weight_total
 
 
 @dataclass(frozen=True)
@@ -101,18 +110,27 @@ def aggregate(reports: Sequence[MetricsReport]) -> tuple[float, float]:
     return ic_mean, rmse
 
 
-def write_trials_csv(path: str, reports: Iterable[MetricsReport], header: str) -> None:
-    reports = list(reports)
+def write_table(path: str, header: str, columns: Sequence[str], rows: Iterable) -> None:
+    """CSV result table: a '# header' comment line, the column names, then one
+    line per row with floats printed as .10g and anything else with str."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {header}\n")
-        fh.write("trial,seed_key,rho_f,speed,heading_deg,ic,r_hat_m,error_m\n")
-        for r in reports:
-            seed_key = ":".join(str(v) for v in r.seed_key)
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
             fh.write(
-                f"{r.trial},{seed_key},{r.rho_f:.10g},{r.speed:.10g},"
-                f"{r.heading_deg:.10g},{r.ic:.10g},{r.centroid_range_est:.10g},"
-                f"{r.centroid_error:.10g}\n"
+                ",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row) + "\n"
             )
-        if reports:
-            ic_mean, rmse = aggregate(reports)
-            fh.write(f"summary,,,,,{ic_mean:.10g},,{rmse:.10g}\n")
+
+
+def write_trials_csv(path: str, reports: Iterable[MetricsReport], header: str) -> None:
+    reports = list(reports)
+    rows = [
+        (r.trial, ":".join(str(v) for v in r.seed_key), r.rho_f, r.speed, r.heading_deg,
+         r.ic, r.centroid_range_est, r.centroid_error)
+        for r in reports
+    ]
+    if reports:
+        ic_mean, rmse = aggregate(reports)
+        rows.append(("summary", "", "", "", "", ic_mean, "", rmse))
+    columns = ("trial", "seed_key", "rho_f", "speed", "heading_deg", "ic", "r_hat_m", "error_m")
+    write_table(path, header, columns, rows)

@@ -63,6 +63,12 @@ class ScenarioConfig:
             raise ConfigurationError(f"n_ref must be >= 1, got {self.n_ref}")
         if self.t_g < 0:
             raise ConfigurationError(f"t_g must be nonnegative, got {self.t_g}")
+        if self.f_c <= 0 or self.t_f <= 0:
+            raise ConfigurationError(
+                f"f_c and t_f must be positive, got f_c={self.f_c}, t_f={self.t_f}"
+            )
+        if max(self.p_t_dbm, self.noise_figure_db) > 3000.0:  # 1e300 as a linear ratio
+            raise ConfigurationError("p_t_dbm and noise_figure_db must not exceed 3000 dB")
 
 
 @dataclass(frozen=True)
@@ -161,6 +167,8 @@ def _scatterers(text: str) -> tuple[list, list]:
     rows = [_finite_list(chunk) for chunk in text.split(";") if chunk.strip()]
     if not rows or any(len(row) != 4 for row in rows):
         raise ValueError(f"need 'x y z rcs' entries separated by ';': {text!r}")
+    if any(row[3] <= 0 for row in rows):
+        raise ValueError(f"scatterer RCS must be positive: {text!r}")
     return [row[:3] for row in rows], [row[3] for row in rows]
 
 

@@ -1,16 +1,16 @@
 """Trial orchestration: determinism, sweeps, CLI, config assembly."""
 
-import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import run_pipeline
-from ivasim import harness, scenario
-from ivasim.errors import ConfigurationError, GeometryError
+from ivasim import harness, scenario, target, tmc
+from ivasim.errors import ConfigurationError, DataError, GeometryError
 from ivasim.harness import (
     SweepSpec,
     load_run_config,
@@ -93,18 +93,47 @@ class TestRunTrial:
         with pytest.raises(GeometryError):
             run_trial(cfg, trial_seed(0, 0, 0))
 
-    def test_windowed_matches_full(self):
-        raw = fast_raw()
-        cfg = load_run_config(overrides=raw)
-        cfg_full = dataclasses.replace(
-            cfg, options=dataclasses.replace(cfg.options, image_mode="full")
-        )
-        win = run_trial(cfg, trial_seed(5, 0, 0))
-        full = run_trial(cfg_full, trial_seed(5, 0, 0))
-        assert win.ic == pytest.approx(full.ic, rel=1e-12)
-        assert win.centroid_range_est == pytest.approx(
-            full.centroid_range_est, rel=1e-12
-        )
+    # FAST-sized scenarios on which the windowed evaluator must give the full
+    # image's ic bit for bit and its r_hat to roundoff (full mode thresholds
+    # the peak-normalized image)
+    SCENARIOS = dict(
+        seed=st.integers(0, 2**16),
+        k=st.sampled_from([512, 768, 1024, 2048]),
+        m_s=st.sampled_from([8, 12, 16, 24]),
+        noise=st.booleans(),
+        crop_half_range=st.floats(3.0, 30.0),
+        crop_half_crossrange=st.floats(1.0, 40.0),
+    )
+
+    @staticmethod
+    def _trial(mode, seed, **overrides):
+        cfg = load_run_config(overrides=fast_raw(image_mode=mode, **overrides))
+        return run_trial(cfg, trial_seed(seed, 0, 0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(**SCENARIOS)
+    def test_windowed_matches_full(self, seed, **overrides):
+        win, full = (self._trial(mode, seed, **overrides) for mode in ("windowed", "full"))
+        assert win.ic == full.ic
+        assert win.centroid_range_est == pytest.approx(full.centroid_range_est, rel=1e-12)
+
+    @settings(max_examples=10, deadline=None)
+    @given(**SCENARIOS)
+    def test_zero_mean_crop_rejected_in_both_modes(self, seed, **overrides):
+        cfg = load_run_config(overrides=fast_raw(**overrides))
+        r0 = target.centroid_kinematics(cfg.target, cfg.traj, cfg.scenario).r0
+        correct = tmc.apply_phase_correction
+
+        def crop_zeroed(profiles, cpe):
+            out = correct(profiles, cpe)
+            out.s[np.abs(out.axis - r0) <= cfg.options.crop_half_range] = 0.0
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tmc, "apply_phase_correction", crop_zeroed)
+            for mode in ("windowed", "full"):
+                with pytest.raises(DataError, match="zero-mean crop"):
+                    self._trial(mode, seed, **overrides)
 
     def test_exports_written(self, tmp_path):
         cfg = load_run_config(overrides=fast_raw(noise="off"))
@@ -338,6 +367,15 @@ class TestCliRejectsBadInput:
             load_sweep_spec(str(sweep))
 
 
+@pytest.fixture
+def no_trials(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_trial", forbidden)
+
+
+@pytest.mark.usefixtures("no_trials")
 class TestConfigValuesCheckedAtParse:
     """Every bad value ends at the line that holds it, before any trial runs."""
 
@@ -348,15 +386,9 @@ class TestConfigValuesCheckedAtParse:
         ("heading_deg = nan", "heading_deg"),
         ("speed = inf", "speed"),
         ("beam = wide", "beam"),
+        ("scatterers = 1 0 0 -1", "scatterers"),
     ]
     SWEEP_CONFIG_CASES = CONFIG_CASES + [("seed = fast", "seed"), ("z_c = nan", "z_c")]
-
-    @pytest.fixture(autouse=True)
-    def no_trials(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a trial ran")
-
-        monkeypatch.setattr(harness, "run_trial", forbidden)
 
     @staticmethod
     def _check_cli(argv, path, key, capsys, out_dir):
@@ -392,6 +424,29 @@ class TestConfigValuesCheckedAtParse:
         value = line.split("=", 1)[1].strip()
         with pytest.raises(ConfigurationError, match=f"bad value for {key!r}"):
             load_run_config(overrides={key: value})
+
+
+@pytest.mark.usefixtures("no_trials")
+class TestConfigsThatBreakDerive:
+    """Values that would divide by zero or overflow in scenario.derive end in
+    an error line and exit 1, before any trial runs."""
+
+    LINES = ["f_c = 0", "t_f = 0", "p_t_dbm = 1e308", "noise_figure_db = 1e308"]
+
+    @pytest.mark.parametrize("sweep", [False, True], ids=["single", "sweep"])
+    @pytest.mark.parametrize("line", LINES)
+    def test_rejected(self, tmp_path, capsys, line, sweep):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"rho_f = 0.2\n{line}\n")
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "out")]
+        if sweep:
+            spec = tmp_path / "sweep.txt"
+            spec.write_text("rho_f = 0.2\nspeeds = 10\nheadings = 300\nn_mc = 1\n")
+            argv += ["--sweep", str(spec), "--workers", "1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and line.split()[0] in err
+        assert "Traceback" not in err
 
 
 class TestDefaultConfig:
