@@ -5,13 +5,17 @@ range alignment, phase adjustment, range-Doppler imaging, and metrics. Sweeps
 run Monte Carlo trials over a (heading x speed x subcarrier-fraction) grid
 with a worker pool and write the contrast/RMSE result tables.
 
-Monte Carlo trials evaluate the image metrics through a windowed evaluator
-that only Doppler-processes rows which can mathematically contribute to the
-peak, the thresholded support, or the contrast crop (each row's transform
-magnitude is bounded by its slow-time L1 norm), then takes contrast and
-centroid from ``metrics`` over those rows. The evaluator certifies that its
-detection threshold is exact, and when it cannot, fixes it from the minimum
-of the remaining rows.
+Neither image mode holds the (k_p, m_p) image. Both keep only the image
+rows that the metrics read (the contrast crop, the rows that can clear the
+detection threshold, and rows that fix the image's extremes), stack them in
+index order and take contrast and centroid from ``metrics`` over them. The
+windowed mode (default) Doppler-processes only rows that can contribute to
+the peak, the thresholded support or the crop (each row's transform magnitude
+is bounded by its slow-time L1 norm), certifies that its detection threshold
+is exact, and when it cannot, fixes it from the minimum of the remaining
+rows. The full mode, also taken by image exports, transforms every row one
+block at a time and keeps a row only while its peak clears a floor that stays
+below the final threshold.
 """
 
 from __future__ import annotations
@@ -82,8 +86,34 @@ def trial_seed(master_seed: int, point_index: int, trial_index: int) -> np.rando
 
 
 # --------------------------------------------------------------------------
-# Windowed image metrics (exact-equivalence certified)
+# Image metrics over the rows that matter
 # --------------------------------------------------------------------------
+
+
+def _kept_row_image(
+    rows: dict,
+    profiles: tmc.RangeProfileSet,
+    derived: DerivedParams,
+    scen: ScenarioConfig,
+    snapshot: KinematicSnapshot,
+    options: SimOptions,
+) -> tuple[imaging.RangeDopplerImage, metrics.CropWindow, float]:
+    """The image rows held in ``rows`` (row index -> row) stacked in index
+    order, with their crop window and contrast. Every crop row must be held."""
+    picked = sorted(rows)
+    image = imaging.attach_crossrange(
+        imaging.RangeDopplerImage(
+            p=np.stack([rows[i] for i in picked]),
+            range_axis=profiles.axis[picked],
+            doppler_axis=imaging.doppler_axis(derived.m_p, scen.t_sri),
+        ),
+        snapshot,
+        derived.wavelength,
+    )
+    window = metrics.make_crop_window(
+        image, snapshot.r0, options.crop_half_range, options.crop_half_crossrange
+    )
+    return image, window, metrics.image_contrast(image, window)
 
 
 def _certified(p: np.ndarray, delta_lo: float, delta_hi: float) -> bool:
@@ -138,31 +168,67 @@ def _windowed_image_metrics(
             break
         compute(pending)
 
-    picked = sorted(rows)
-    image = imaging.attach_crossrange(
-        imaging.RangeDopplerImage(
-            p=np.stack([rows[i] for i in picked]),
-            range_axis=profiles.axis[picked],
-            doppler_axis=imaging.doppler_axis(m_p, scen.t_sri),
-        ),
-        snapshot,
-        derived.wavelength,
-    )
+    image, _, ic = _kept_row_image(rows, profiles, derived, scen, snapshot, options)
     delta_hi = eps * pmax
     if not _certified(image.p, delta_lo, delta_hi):
-        rest = np.setdiff1d(np.arange(s.shape[0]), picked)
+        rest = np.setdiff1d(np.arange(s.shape[0]), list(rows))
         pmin = min([pmin_ub] + [
             float(imaging.doppler_rows(s[rest[i:i + imaging.ROW_BLOCK]], m_p).min())
             for i in range(0, rest.size, imaging.ROW_BLOCK)
         ])
         delta_hi = eps * (pmax - pmin)
 
-    window = metrics.make_crop_window(
-        image, snapshot.r0, options.crop_half_range, options.crop_half_crossrange
-    )
-    ic = metrics.image_contrast(image, window)
     support = replace(image, p=np.where(image.p >= delta_hi, image.p, 0.0))
     return ic, metrics.centroid_range(support)
+
+
+def _full_image_metrics(
+    profiles: tmc.RangeProfileSet,
+    derived: DerivedParams,
+    scen: ScenarioConfig,
+    snapshot: KinematicSnapshot,
+    options: SimOptions,
+    export_image_path: str | None = None,
+    export_csv_path: str | None = None,
+) -> tuple[float, float]:
+    """(contrast, centroid range) of the full image, formed one block of rows
+    at a time and never held whole; exports write its crop window.
+
+    Besides the crop rows and the row holding the image minimum, a row is kept
+    only while its peak exceeds the floor eps/2 * (max - min) of the rows seen
+    so far. The floor only rises and stays below the final threshold
+    eps * (max - min), so a row dropped under it holds no survivor. The kept
+    rows carry the image's max and min, so ``metrics.threshold_image`` sets the
+    full image's threshold on them and keeps the same survivors.
+    """
+    s, axis = profiles.s, profiles.axis
+    in_crop = np.abs(axis - snapshot.r0) <= options.crop_half_range
+    rows, peaks = {}, {}
+    pmax, pmin, min_row = -np.inf, np.inf, None
+    for start in range(0, s.shape[0], imaging.ROW_BLOCK):
+        part = slice(start, start + imaging.ROW_BLOCK)
+        block = imaging.form_image(
+            replace(profiles, s=s[part], axis=axis[part]), derived.m_p, scen.t_sri
+        ).p
+        row_max, row_min = block.max(axis=1), block.min(axis=1)
+        low = int(np.argmin(row_min))
+        if row_min[low] < pmin:
+            pmin, min_row = float(row_min[low]), (start + low, block[low].copy())
+        pmax = max(pmax, float(row_max.max()))
+        floor = 0.5 * scen.epsilon * (pmax - pmin)
+        for i in np.flatnonzero(in_crop[part] | (row_max > floor)):
+            rows[start + i], peaks[start + i] = block[i].copy(), row_max[i]
+        for i in [i for i, peak in peaks.items() if peak <= floor and not in_crop[i]]:
+            del rows[i], peaks[i]
+    rows.setdefault(*min_row)
+
+    image, window, ic = _kept_row_image(rows, profiles, derived, scen, snapshot, options)
+    r_hat = metrics.centroid_range(metrics.threshold_image(image, scen.epsilon))
+    if export_image_path:
+        imaging.export_pgm(image, export_image_path, rows=window.rows, cols=window.cols)
+    if export_csv_path:
+        imaging.export_csv(image, export_csv_path, rows=window.rows, cols=window.cols)
+    return ic, r_hat
 
 
 # --------------------------------------------------------------------------
@@ -194,30 +260,27 @@ def run_trial(
     gs = frontend.sensing_matrix(
         cfg.target, cfg.traj, scen, derived, gain, grid, rng, noise=cfg.options.noise
     )
+    del grid
     if dump_gs_path:
         frontend.dump_sensing_matrix(dump_gs_path, gs)
 
+    # each large array is dropped after its last read, so the image metrics
+    # run next to the corrected profiles alone
     aligned = tmc.align(gs, scen.delta_f)
+    del gs
     profiles = tmc.range_profiles(aligned.gamma, derived.k_p, scen.delta_f)
     cells = tmc.select_reference_cells(profiles, scen.n_ref, cfg.options.cell_gate)
     cpe = tmc.estimate_cpe(profiles, cells)
     corrected = tmc.apply_phase_correction(profiles, cpe)
+    del profiles
     if dump_tmc_path:
         tmc.write_debug_csv(dump_tmc_path, aligned, cpe)
+    del aligned
 
-    want_full = cfg.options.image_mode == "full" or export_image_path or export_csv_path
-    if want_full:
-        image = imaging.form_image(corrected, derived.m_p, scen.t_sri)
-        image = imaging.attach_crossrange(image, snapshot, derived.wavelength)
-        window = metrics.make_crop_window(
-            image, snapshot.r0, cfg.options.crop_half_range, cfg.options.crop_half_crossrange
+    if cfg.options.image_mode == "full" or export_image_path or export_csv_path:
+        ic, r_hat = _full_image_metrics(
+            corrected, derived, scen, snapshot, cfg.options, export_image_path, export_csv_path
         )
-        ic = metrics.image_contrast(image, window)
-        r_hat = metrics.centroid_range(metrics.threshold_image(image, scen.epsilon))
-        if export_image_path:
-            imaging.export_pgm(image, export_image_path, rows=window.rows, cols=window.cols)
-        if export_csv_path:
-            imaging.export_csv(image, export_csv_path, rows=window.rows, cols=window.cols)
     else:
         ic, r_hat = _windowed_image_metrics(
             corrected, derived, scen, snapshot, cfg.options

@@ -2,14 +2,17 @@
 
 The reference values in ``golden.json`` are keyed by numpy version and CPU
 architecture, since FFT rounding may differ between them. They pin ``float.hex``
-of ic and r_hat for single trials and the SHA-256 of a small sweep's CSV data
-rows (``#`` header lines left out), so any change that moves an output bit
-fails here. To add an entry for a new environment, run this file as a script
+of ic and r_hat for single trials in both image modes, the SHA-256 of a small
+sweep's CSV data rows (``#`` header lines left out) and the SHA-256 of the
+image files of one ``--export-image`` run, so any change that moves an output
+bit fails here. To add an entry for a new environment, run this file as a script
 on a commit whose outputs are trusted; it prints the entry to paste into
 ``golden.json``.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import platform
 from pathlib import Path
@@ -29,10 +32,13 @@ TRIALS = [
     for h, v, rho in ((270.0, 30.0, 0.2), (300.0, 10.0, 0.2), (270.0, 20.0, 0.5))
     for seed in (1, 2)
 ] + [(270.0, 30.0, 1.0, 1)]
+FULL_TRIALS = [(270.0, 30.0, 1.0, 1), (300.0, 10.0, 0.2, 1), (270.0, 20.0, 0.5, 2)]
 
 SWEEP = harness.SweepSpec(rho_f=(0.2,), speeds=(20.0,), headings=(270.0, 300.0), n_mc=2)
 SWEEP_SEED = 1
 CSV_FILES = ("ic_mean_vs_rhof.csv", "rmse_vs_rhof.csv", "trials.csv")
+EXPORT_CONFIG = "heading_deg = 300\nspeed = 10\nrho_f = 0.2\n"
+EXPORT_FILES = ("image.pgm", "image.csv")
 
 
 def env_key() -> str:
@@ -43,9 +49,9 @@ def trial_id(heading, speed, rho, seed) -> str:
     return f"{heading:g}/{speed:g}/{rho:g}/seed{seed}"
 
 
-def trial_hex(heading, speed, rho, seed) -> list[str]:
+def trial_hex(heading, speed, rho, seed, mode="windowed") -> list[str]:
     cfg = harness.load_run_config(
-        overrides={"heading_deg": heading, "speed": speed, "rho_f": rho}
+        overrides={"heading_deg": heading, "speed": speed, "rho_f": rho, "image_mode": mode}
     )
     report = harness.run_trial(cfg, harness.trial_seed(seed, 0, 0))
     return [float(report.ic).hex(), float(report.centroid_range_est).hex()]
@@ -66,6 +72,17 @@ def sweep_digest(out_dir: Path, workers: int) -> str:
     return h.hexdigest()
 
 
+def export_digests(out_dir: Path) -> dict:
+    """SHA-256 of the files written by one single-trial --export-image run."""
+    cfg = out_dir / "export.cfg"
+    cfg.write_text(EXPORT_CONFIG)
+    argv = ["--config", str(cfg), "--seed", "1", "--out", str(out_dir), "--export-image"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert harness.main(argv) == 0
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in EXPORT_FILES}
+
+
 @pytest.fixture(scope="module")
 def golden():
     entries = json.loads(GOLDEN.read_text())
@@ -83,6 +100,15 @@ def test_trial_bits(golden, point):
     assert trial_hex(*point) == golden["trials"][trial_id(*point)]
 
 
+@pytest.mark.parametrize("point", FULL_TRIALS, ids=[trial_id(*p) for p in FULL_TRIALS])
+def test_full_mode_trial_bits(golden, point):
+    assert trial_hex(*point, mode="full") == golden["full_trials"][trial_id(*point)]
+
+
+def test_export_files(golden, tmp_path):
+    assert export_digests(tmp_path) == golden["export_sha256"]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_csv_rows(golden, tmp_path, workers):
     assert sweep_digest(tmp_path, workers) == golden["sweep_csv_sha256"]
@@ -93,10 +119,13 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         digests = {sweep_digest(Path(tmp) / f"w{w}", w) for w in (1, 2)}
+        exports = export_digests(Path(tmp))
     if len(digests) != 1:
         raise SystemExit("sweep CSVs differ between 1 and 2 workers")
     entry = {
         "trials": {trial_id(*p): trial_hex(*p) for p in TRIALS},
+        "full_trials": {trial_id(*p): trial_hex(*p, mode="full") for p in FULL_TRIALS},
         "sweep_csv_sha256": digests.pop(),
+        "export_sha256": exports,
     }
     print(json.dumps({env_key(): entry}, indent=2))

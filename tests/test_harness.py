@@ -2,14 +2,15 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import run_pipeline
-from ivasim import harness, scenario, target, tmc
+from ivasim import harness, imaging, metrics, scenario, target, tmc
 from ivasim.errors import ConfigurationError, DataError, GeometryError
 from ivasim.harness import (
     SweepSpec,
@@ -340,6 +341,122 @@ class TestWindowedFallback:
         assert got == self._all_rows_reference(*args)
         k_p, m_p = run["derived"].k_p, run["derived"].m_p
         assert peak < k_p * m_p * 8 / 4
+
+
+class TestFullImageStream:
+    """Full mode streams the image in row blocks: the bits of the metrics
+    taken over the whole image, without allocating it."""
+
+    @staticmethod
+    def _whole_image_reference(run):
+        """form_image over all rows, then contrast and the thresholded
+        centroid over the whole image."""
+        scen, derived, snapshot = run["scenario"], run["derived"], run["snapshot"]
+        options = run["cfg"].options
+        image = imaging.attach_crossrange(
+            imaging.form_image(run["corrected"], derived.m_p, scen.t_sri),
+            snapshot,
+            derived.wavelength,
+        )
+        window = metrics.make_crop_window(
+            image, snapshot.r0, options.crop_half_range, options.crop_half_crossrange
+        )
+        ic = metrics.image_contrast(image, window)
+        return ic, metrics.centroid_range(metrics.threshold_image(image, scen.epsilon))
+
+    @staticmethod
+    def _streamed(run):
+        return harness._full_image_metrics(
+            run["corrected"], run["derived"], run["scenario"], run["snapshot"],
+            run["cfg"].options,
+        )
+
+    @staticmethod
+    def _constant_rows(run, values):
+        """The run with profiles whose image row n is constant at values[n]:
+        each profile row holds one sample, at the first symbol."""
+        s = np.zeros_like(run["corrected"].s)
+        s[:, 0] = values
+        return dict(run, corrected=replace(run["corrected"], s=s))
+
+    @settings(max_examples=50, deadline=None)
+    @given(**TestRunTrial.SCENARIOS)
+    # the global-minimum row (2307) lies far outside the crop
+    @example(seed=1, k=2048, m_s=16, noise=True, crop_half_range=3.0, crop_half_crossrange=4.0)
+    def test_streamed_equals_whole_image(self, seed, **overrides):
+        raw = fast_raw(image_mode="full", **overrides)
+        report = run_trial(load_run_config(overrides=raw), trial_seed(seed, 0, 0))
+        reference = self._whole_image_reference(run_pipeline(raw, seed))
+        assert (report.ic, report.centroid_range_est) == reference
+
+    def test_minimum_row_outside_crop_sets_threshold(self):
+        """Crop rows at 1, the first row at 0.3, the last at 0.29, every other
+        row 0. The zero rows sit below every floor, yet the image minimum among
+        them sets the threshold 0.3, which the first row meets and the last
+        misses; without it the threshold would be 0.3 * (1 - 0.29) and the last
+        row would survive too."""
+        run = run_pipeline(fast_raw(noise="off", crop_half_range=3.0), seed=1)
+        in_crop = np.abs(run["corrected"].axis - run["snapshot"].r0) <= 3.0
+        values = np.where(in_crop, 1.0, 0.0)
+        values[0], values[-1] = 0.3, 0.29
+        assert not in_crop[0] and not in_crop[-1]
+        run = self._constant_rows(run, values)
+        assert self._streamed(run) == self._whole_image_reference(run)
+
+    def test_rows_that_fall_below_the_floor_are_released(self, monkeypatch):
+        """The first 200 rows (crop rows aside) at 0.1 clear the floor while
+        the crop, at 0.05, is the strongest seen; the last 10 rows, at 1,
+        raise it to 0.15 and the 0.1 rows are let go. Kept at the end: the
+        crop, the last 10 rows and one zero row for the minimum."""
+        run = run_pipeline(fast_raw(noise="off", crop_half_range=3.0), seed=1)
+        in_crop = np.abs(run["corrected"].axis - run["snapshot"].r0) <= 3.0
+        values = np.zeros(in_crop.size)
+        values[:200] = 0.1
+        values[in_crop] = 0.05
+        values[-10:] = 1.0
+        assert not in_crop[-10:].any() and run["derived"].k_p > 2 * imaging.ROW_BLOCK
+        run = self._constant_rows(run, values)
+        kept = []
+        stack = harness._kept_row_image
+
+        def counted(rows, *args):
+            kept.append(len(rows))
+            return stack(rows, *args)
+
+        monkeypatch.setattr(harness, "_kept_row_image", counted)
+        assert self._streamed(run) == self._whole_image_reference(run)
+        assert kept == [in_crop.sum() + 10 + 1]
+
+    def test_all_zero_profiles_rejected_as_before(self):
+        run = self._constant_rows(run_pipeline(fast_raw(noise="off"), seed=1), 0.0)
+        for evaluate in (self._streamed, self._whole_image_reference):
+            with pytest.raises(DataError, match="zero-mean crop"):
+                evaluate(run)
+
+    @pytest.mark.parametrize("noise", ["on", "off"])
+    def test_metrics_step_peak_below_quarter_image(self, monkeypatch, noise):
+        """At k=2640, m_s=200 the image is 8192 x 2048 float64, 128 MiB. The
+        trial allocates under a quarter of that from the end of phase
+        correction on."""
+        correct = tmc.apply_phase_correction
+
+        def then_trace(*args):
+            out = correct(*args)
+            tracemalloc.start()
+            return out
+
+        monkeypatch.setattr(tmc, "apply_phase_correction", then_trace)
+        cfg = load_run_config(
+            overrides={"k": 2640, "m_s": 200, "noise": noise, "image_mode": "full"}
+        )
+        derived = scenario.derive(cfg.scenario)
+        assert (derived.k_p, derived.m_p) == (8192, 2048)
+        try:
+            run_trial(cfg, trial_seed(2, 0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < derived.k_p * derived.m_p * 8 / 4
 
 
 class TestCliRejectsBadInput:
