@@ -5,17 +5,13 @@ range alignment, phase adjustment, range-Doppler imaging, and metrics. Sweeps
 run Monte Carlo trials over a (heading x speed x subcarrier-fraction) grid
 with a worker pool and write the contrast/RMSE result tables.
 
-Neither image mode holds the (k_p, m_p) image. Both keep only the image
-rows that the metrics read (the contrast crop, the rows that can clear the
-detection threshold, and rows that fix the image's extremes), stack them in
-index order and take contrast and centroid from ``metrics`` over them. The
-windowed mode (default) Doppler-processes only rows that can contribute to
-the peak, the thresholded support or the crop (each row's transform magnitude
-is bounded by its slow-time L1 norm), certifies that its detection threshold
-is exact, and when it cannot, fixes it from the minimum of the remaining
-rows. The full mode, also taken by image exports, transforms every row one
-block at a time and keeps a row only while its peak clears a floor that stays
-below the final threshold.
+Both image modes run one pass over the image rows, a block at a time, that
+keeps only the rows the metrics read (the contrast crop, rows that can clear
+the detection threshold, and the minimum row) and never holds the (k_p, m_p)
+image. Full mode, also taken by image exports, forms every row in index
+order. Windowed mode (default) takes rows in descending order of their
+slow-time L1 norm, which bounds each image row, and stops once the rows left
+are certified to hold neither the peak nor a survivor.
 """
 
 from __future__ import annotations
@@ -91,12 +87,8 @@ def trial_seed(master_seed: int, point_index: int, trial_index: int) -> np.rando
 
 
 def _kept_row_image(
-    rows: dict,
-    profiles: tmc.RangeProfileSet,
-    derived: DerivedParams,
-    scen: ScenarioConfig,
-    snapshot: KinematicSnapshot,
-    options: SimOptions,
+    rows: dict, profiles: tmc.RangeProfileSet, derived: DerivedParams, scen: ScenarioConfig,
+    snapshot: KinematicSnapshot, options: SimOptions,
 ) -> tuple[imaging.RangeDopplerImage, metrics.CropWindow, float]:
     """The image rows held in ``rows`` (row index -> row) stacked in index
     order, with their crop window and contrast. Every crop row must be held."""
@@ -116,118 +108,100 @@ def _kept_row_image(
     return image, window, metrics.image_contrast(image, window)
 
 
+WINDOW_BLOCK = 64  # rows per windowed-mode block, taken in descending bound order
+
+
 def _certified(p: np.ndarray, delta_lo: float, delta_hi: float) -> bool:
-    """No stored bin in [delta_lo, delta_hi): thresholding at delta_hi is exact."""
+    """No bin of p in [delta_lo, delta_hi): thresholds between them agree."""
     return not np.any((p >= delta_lo) & (p < delta_hi))
 
 
-def _windowed_image_metrics(
-    profiles: tmc.RangeProfileSet,
-    derived: DerivedParams,
-    scen: ScenarioConfig,
-    snapshot: KinematicSnapshot,
-    options: SimOptions,
-) -> tuple[float, float]:
-    """(contrast, centroid range) without materializing the full image.
+def _crop_rows(profiles: tmc.RangeProfileSet, r0: float, half_range: float) -> slice:
+    """The contrast crop's rows, contiguous on the sorted range axis."""
+    crop = np.flatnonzero(np.abs(profiles.axis - r0) <= half_range)
+    if crop.size == 0:
+        raise ConfigurationError("crop window does not intersect the image")
+    return slice(int(crop[0]), int(crop[-1]) + 1)
 
-    Row n of the image is bounded by the slow-time L1 norm of profile row n,
-    so rows below the detection threshold bound can be skipped. The survivor
-    set is provably identical to the full computation whenever no bin falls
-    inside the interval [eps*(pmax - pmin_ub), eps*pmax), where pmin_ub is the
-    smallest computed bin. Otherwise the unstored rows, whose bounds all lie
-    below that interval, are transformed in blocks only for their minimum.
-    The metrics are then taken over the stored rows, in index order.
+
+def _image_pass(
+    profiles: tmc.RangeProfileSet, derived: DerivedParams, scen: ScenarioConfig,
+    snapshot: KinematicSnapshot, options: SimOptions, blocks: list, bound=None,
+) -> tuple[imaging.RangeDopplerImage, metrics.CropWindow, float, float]:
+    """(kept-row image, crop window, contrast, centroid range) from forming
+    ``blocks`` (row slices or index arrays, the crop rows first) in turn.
+
+    Besides the crop rows and the row holding the minimum seen so far, a row
+    is kept while its peak exceeds the floor eps/2 * (max - min) seen so far,
+    which only rises and stays below the threshold eps * (max - min). With
+    ``bound`` (a bound on each row's peak, blocks in descending bound order)
+    the pass stops before a block bounded below delta_lo = eps * (max - min)
+    if no kept bin lies in [delta_lo, eps * max), which holds the full
+    image's threshold: the rows left hold neither the peak nor a survivor.
     """
-    s = profiles.s
-    m_p = derived.m_p
-    eps = scen.epsilon
-    bound = np.abs(s).sum(axis=1)  # max_q |row DFT| <= sum_m |s[n, m]|
-    if bound.max() <= 0.0:
-        raise DataError("all-zero profiles: image metrics undefined")
-
-    rows = {}
-
-    def compute(indices) -> None:
-        todo = [int(i) for i in indices if i not in rows]
-        if todo:
-            rows.update(zip(todo, imaging.doppler_rows(s[todo], m_p)))
-
-    by_bound = np.argsort(bound, kind="stable")
-    compute(np.flatnonzero(np.abs(profiles.axis - snapshot.r0) <= options.crop_half_range))
-    compute(by_bound[-64:])  # strongest rows: resolves the global peak
-    compute(by_bound[:4])    # weakest rows: tightens the min upper bound
-
-    # rows that could hold a thresholded survivor or, since delta_lo < pmax,
-    # the global peak
-    while True:
-        pmax = max(float(v.max()) for v in rows.values())
-        pmin_ub = min(float(v.min()) for v in rows.values())
-        delta_lo = eps * (pmax - pmin_ub)
-        pending = [i for i in np.flatnonzero(bound >= delta_lo) if i not in rows]
-        if not pending:
-            break
-        compute(pending)
-
-    image, _, ic = _kept_row_image(rows, profiles, derived, scen, snapshot, options)
-    delta_hi = eps * pmax
-    if not _certified(image.p, delta_lo, delta_hi):
-        rest = np.setdiff1d(np.arange(s.shape[0]), list(rows))
-        pmin = min([pmin_ub] + [
-            float(imaging.doppler_rows(s[rest[i:i + imaging.ROW_BLOCK]], m_p).min())
-            for i in range(0, rest.size, imaging.ROW_BLOCK)
-        ])
-        delta_hi = eps * (pmax - pmin)
-
-    support = replace(image, p=np.where(image.p >= delta_hi, image.p, 0.0))
-    return ic, metrics.centroid_range(support)
-
-
-def _full_image_metrics(
-    profiles: tmc.RangeProfileSet,
-    derived: DerivedParams,
-    scen: ScenarioConfig,
-    snapshot: KinematicSnapshot,
-    options: SimOptions,
-    export_image_path: str | None = None,
-    export_csv_path: str | None = None,
-) -> tuple[float, float]:
-    """(contrast, centroid range) of the full image, formed one block of rows
-    at a time and never held whole; exports write its crop window.
-
-    Besides the crop rows and the row holding the image minimum, a row is kept
-    only while its peak exceeds the floor eps/2 * (max - min) of the rows seen
-    so far. The floor only rises and stays below the final threshold
-    eps * (max - min), so a row dropped under it holds no survivor. The kept
-    rows carry the image's max and min, so ``metrics.threshold_image`` sets the
-    full image's threshold on them and keeps the same survivors.
-    """
-    s, axis = profiles.s, profiles.axis
-    in_crop = np.abs(axis - snapshot.r0) <= options.crop_half_range
+    s, axis, eps = profiles.s, profiles.axis, scen.epsilon
+    row_ids = np.arange(s.shape[0])
+    in_crop = np.isin(row_ids, row_ids[blocks[0]])
     rows, peaks = {}, {}
     pmax, pmin, min_row = -np.inf, np.inf, None
-    for start in range(0, s.shape[0], imaging.ROW_BLOCK):
-        part = slice(start, start + imaging.ROW_BLOCK)
+    for part in blocks:
+        delta_lo = eps * (pmax - pmin)
+        if bound is not None and bound[part].max() < delta_lo and all(
+            _certified(row, delta_lo, eps * pmax) for row in rows.values()
+        ):
+            break
         block = imaging.form_image(
             replace(profiles, s=s[part], axis=axis[part]), derived.m_p, scen.t_sri
         ).p
+        ids = row_ids[part]
         row_max, row_min = block.max(axis=1), block.min(axis=1)
         low = int(np.argmin(row_min))
         if row_min[low] < pmin:
-            pmin, min_row = float(row_min[low]), (start + low, block[low].copy())
+            pmin, min_row = float(row_min[low]), (ids[low], block[low].copy())
         pmax = max(pmax, float(row_max.max()))
-        floor = 0.5 * scen.epsilon * (pmax - pmin)
-        for i in np.flatnonzero(in_crop[part] | (row_max > floor)):
-            rows[start + i], peaks[start + i] = block[i].copy(), row_max[i]
+        floor = 0.5 * eps * (pmax - pmin)
+        for i in np.flatnonzero(in_crop[ids] | (row_max > floor)):
+            rows[ids[i]], peaks[ids[i]] = block[i].copy(), row_max[i]
         for i in [i for i, peak in peaks.items() if peak <= floor and not in_crop[i]]:
             del rows[i], peaks[i]
     rows.setdefault(*min_row)
 
     image, window, ic = _kept_row_image(rows, profiles, derived, scen, snapshot, options)
-    r_hat = metrics.centroid_range(metrics.threshold_image(image, scen.epsilon))
+    return image, window, ic, metrics.centroid_range(metrics.threshold_image(image, eps))
+
+
+def _windowed_image_metrics(
+    profiles: tmc.RangeProfileSet, derived: DerivedParams, scen: ScenarioConfig,
+    snapshot: KinematicSnapshot, options: SimOptions,
+) -> tuple[float, float]:
+    """(contrast, centroid range) from the crop rows and the rows that can hold
+    the peak or a survivor. Row n of the image is bounded by the slow-time L1
+    norm of profile row n, so the other rows go in descending bound order."""
+    bound = np.abs(profiles.s).sum(axis=1)  # max_q |row DFT| <= sum_m |s[n, m]|
+    crop = _crop_rows(profiles, snapshot.r0, options.crop_half_range)
+    order = np.argsort(-bound, kind="stable")
+    order = order[(order < crop.start) | (order >= crop.stop)]
+    blocks = [order[i:i + WINDOW_BLOCK] for i in range(0, order.size, WINDOW_BLOCK)]
+    return _image_pass(profiles, derived, scen, snapshot, options, [crop, *blocks], bound)[2:]
+
+
+def _full_image_metrics(
+    profiles: tmc.RangeProfileSet, derived: DerivedParams, scen: ScenarioConfig,
+    snapshot: KinematicSnapshot, options: SimOptions,
+    export_image_path: str | None = None, export_csv_path: str | None = None,
+) -> tuple[float, float]:
+    """(contrast, centroid range) of the full image, the rows outside the crop
+    in index order ``imaging.ROW_BLOCK`` at a time; exports write its crop."""
+    crop = _crop_rows(profiles, snapshot.r0, options.crop_half_range)
+    k_p, size = profiles.s.shape[0], imaging.ROW_BLOCK
+    blocks = [crop] + [slice(i, min(i + size, stop))
+                       for start, stop in ((0, crop.start), (crop.stop, k_p))
+                       for i in range(start, stop, size)]
+    image, window, ic, r_hat = _image_pass(profiles, derived, scen, snapshot, options, blocks)
     if export_image_path:
-        imaging.export_pgm(image, export_image_path, rows=window.rows, cols=window.cols)
+        imaging.export_pgm(image, export_image_path, window.rows, window.cols)
     if export_csv_path:
-        imaging.export_csv(image, export_csv_path, rows=window.rows, cols=window.cols)
+        imaging.export_csv(image, export_csv_path, window.rows, window.cols)
     return ic, r_hat
 
 

@@ -77,31 +77,21 @@ def attach_crossrange(
     return replace(image, crossrange_axis=crossrange_axis(image, snapshot, wavelength))
 
 
-def _window_indices(image: RangeDopplerImage, rows, cols):
-    rows = np.arange(image.p.shape[0]) if rows is None else np.asarray(rows)
-    cols = np.arange(image.p.shape[1]) if cols is None else np.asarray(cols)
-    return rows, cols
-
-
-def export_csv(image: RangeDopplerImage, path: str, rows=None, cols=None) -> None:
-    """CSV export: first row carries the column axis (cross-range if attached,
-    Doppler otherwise), first column the range axis."""
-    rows, cols = _window_indices(image, rows, cols)
-    col_axis = (
-        image.crossrange_axis if image.crossrange_axis is not None else image.doppler_axis
-    )
-    label = "range_m\\crossrange_m" if image.crossrange_axis is not None else "range_m\\doppler_hz"
+def export_csv(image: RangeDopplerImage, path: str, rows, cols) -> None:
+    """CSV export of the window (rows, cols): first row carries the
+    cross-range axis, first column the range axis."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(label + "," + ",".join(f"{col_axis[c]:.10g}" for c in cols) + "\n")
+        header = ",".join(f"{image.crossrange_axis[c]:.10g}" for c in cols)
+        fh.write(f"range_m\\crossrange_m,{header}\n")
         for r in rows:
             values = ",".join(f"{v:.10g}" for v in image.p[r, cols])
             fh.write(f"{image.range_axis[r]:.10g},{values}\n")
 
 
-def export_pgm(image: RangeDopplerImage, path: str, rows=None, cols=None) -> None:
-    """16-bit binary portable graymap: row = range bin, column = cross-range
-    bin, linear amplitude mapped to full scale (big-endian per P5)."""
-    rows, cols = _window_indices(image, rows, cols)
+def export_pgm(image: RangeDopplerImage, path: str, rows, cols) -> None:
+    """16-bit binary portable graymap of the window (rows, cols): row = range
+    bin, column = cross-range bin, linear amplitude mapped to full scale
+    (big-endian per P5)."""
     window = image.p[np.ix_(rows, cols)]
     peak = window.max()
     if peak <= 0:

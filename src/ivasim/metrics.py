@@ -2,9 +2,10 @@
 
 Image contrast is the normalized standard deviation of the image over a crop
 centered at the ground-truth target-centroid range. The centroid range comes
-from the amplitude-thresholded, peak-normalized image as the intensity-weighted
-mean of the range axis. Per-trial reports aggregate into mean contrast and the
-RMSE of the centroid range.
+from the amplitude-thresholded image as the intensity-weighted mean of the
+range axis; the threshold is a fraction of the image's amplitude span, so
+scaling the image changes only rounding. Per-trial reports aggregate into
+mean contrast and the RMSE of the centroid range.
 """
 
 from __future__ import annotations
@@ -53,16 +54,15 @@ def image_contrast(image: RangeDopplerImage, window: CropWindow) -> float:
 
 
 def threshold_image(image: RangeDopplerImage, epsilon: float) -> RangeDopplerImage:
-    """Peak-normalize and zero every bin below the amplitude-span threshold
-    delta = epsilon * (max - min) of the normalized image."""
+    """Zero every bin below the amplitude-span threshold
+    delta = epsilon * (max - min) of the image."""
     if not (0.0 < epsilon < 1.0):
         raise ConfigurationError(f"epsilon must be in (0, 1), got {epsilon}")
     peak = float(image.p.max())
     if peak <= 0.0:
         raise DataError("threshold undefined for an all-zero image")
-    normalized = image.p / peak
-    delta = epsilon * (normalized.max() - normalized.min())
-    return replace(image, p=np.where(normalized >= delta, normalized, 0.0))
+    delta = epsilon * (peak - float(image.p.min()))
+    return replace(image, p=np.where(image.p >= delta, image.p, 0.0))
 
 
 def centroid_range(image: RangeDopplerImage) -> float:

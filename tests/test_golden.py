@@ -7,7 +7,8 @@ sweep's CSV data rows (``#`` header lines left out) and the SHA-256 of the
 image files of one ``--export-image`` run, so any change that moves an output
 bit fails here. To add an entry for a new environment, run this file as a script
 on a commit whose outputs are trusted; it prints the entry to paste into
-``golden.json``.
+``golden.json``, and on stderr, for each pinned ic or r_hat that differs from
+the entry already there, the old hex, the new hex and their distance in ulp.
 """
 
 import contextlib
@@ -15,6 +16,8 @@ import hashlib
 import io
 import json
 import platform
+import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +86,27 @@ def export_digests(out_dir: Path) -> dict:
             for name in EXPORT_FILES}
 
 
+def ulp_distance(old: str, new: str) -> int:
+    """Number of representable doubles between two float.hex strings."""
+
+    def ordered(h):
+        bits = struct.unpack("<q", struct.pack("<d", float.fromhex(h)))[0]
+        return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+    return abs(ordered(new) - ordered(old))
+
+
+def report_moved(old: dict, new: dict, out=sys.stderr) -> None:
+    """One line per pinned ic or r_hat of ``new`` that differs from ``old``."""
+    for kind in ("trials", "full_trials"):
+        for key, hexes in new[kind].items():
+            before = old.get(kind, {}).get(key)
+            for name, a, b in zip(("ic", "r_hat"), before or (), hexes):
+                if a != b:
+                    print(f"{kind} {key} {name}: {a} -> {b} ({ulp_distance(a, b)} ulp)",
+                          file=out)
+
+
 @pytest.fixture(scope="module")
 def golden():
     entries = json.loads(GOLDEN.read_text())
@@ -109,6 +133,14 @@ def test_export_files(golden, tmp_path):
     assert export_digests(tmp_path) == golden["export_sha256"]
 
 
+def test_ulp_distance():
+    one_up = np.nextafter(1.0, 2.0)
+    assert ulp_distance((1.0).hex(), float(one_up).hex()) == 1
+    assert ulp_distance(float(np.nextafter(one_up, 2.0)).hex(), (1.0).hex()) == 2
+    assert ulp_distance((-0.0).hex(), (5e-324).hex()) == 1
+    assert ulp_distance((-5e-324).hex(), (5e-324).hex()) == 2
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_csv_rows(golden, tmp_path, workers):
     assert sweep_digest(tmp_path, workers) == golden["sweep_csv_sha256"]
@@ -128,4 +160,5 @@ if __name__ == "__main__":
         "sweep_csv_sha256": digests.pop(),
         "export_sha256": exports,
     }
+    report_moved(json.loads(GOLDEN.read_text()).get(env_key(), {}), entry)
     print(json.dumps({env_key(): entry}, indent=2))

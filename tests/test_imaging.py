@@ -176,7 +176,7 @@ class TestExports:
     def test_pgm_format(self, tmp_path):
         image = self._image()
         path = tmp_path / "img.pgm"
-        export_pgm(image, str(path))
+        export_pgm(image, str(path), np.arange(8), np.arange(128))
         raw = path.read_bytes()
         header, rest = raw.split(b"\n", 1)
         assert header == b"P5"
@@ -192,7 +192,7 @@ class TestExports:
     def test_pgm_window(self, tmp_path):
         image = self._image()
         path = tmp_path / "win.pgm"
-        export_pgm(image, str(path), rows=np.array([2, 3, 4]), cols=np.arange(10, 20))
+        export_pgm(image, str(path), np.array([2, 3, 4]), np.arange(10, 20))
         raw = path.read_bytes()
         dims = raw.split(b"\n")[1]
         assert dims == b"10 3"
@@ -200,7 +200,7 @@ class TestExports:
     def test_csv_round_trip(self, tmp_path):
         image = self._image()
         path = tmp_path / "img.csv"
-        export_csv(image, str(path))
+        export_csv(image, str(path), np.arange(8), np.arange(128))
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 + 8
         header = lines[0].split(",")

@@ -84,12 +84,12 @@ class TestThreshold:
     def test_constant_image_all_kept(self):
         image = make_image(np.full((3, 3), 4.0))
         out = threshold_image(image, 0.3)
-        assert np.array_equal(out.p, np.ones((3, 3)))
+        assert np.array_equal(out.p, np.full((3, 3), 4.0))
 
-    def test_normalized_to_unit_peak(self):
-        image = make_image([[5.0, 2.0], [1.0, 0.0]])
-        out = threshold_image(image, 0.3)
-        assert out.p.max() == 1.0
+    def test_raw_values_kept(self):
+        """delta = 0.3 * (5 - 0) = 1.5; survivors keep their raw values."""
+        out = threshold_image(make_image([[5.0, 2.0], [1.0, 0.0]]), 0.3)
+        assert np.array_equal(out.p, [[5.0, 2.0], [0.0, 0.0]])
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
