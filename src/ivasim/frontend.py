@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, GeometryError, SynthesisError
+from .errors import ConfigurationError, GeometryError, SynthesisError
 from .scenario import C_LIGHT, DerivedParams, ScenarioConfig
 from .target import ExtendedTarget, TrajectoryState, scatterer_positions
 
@@ -236,16 +236,3 @@ def dump_sensing_matrix(path: str, gs: np.ndarray) -> None:
         fh.write(GS_MAGIC)
         fh.write(struct.pack("<III", k_s, m_s, 0))
         fh.write(gs.astype("<c16").tobytes(order="C"))
-
-
-def load_sensing_matrix(path: str) -> np.ndarray:
-    """Read a matrix written by :func:`dump_sensing_matrix`."""
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16 or header[:4] != GS_MAGIC:
-            raise DataError(f"{path}: not a sensing-matrix dump")
-        k_s, m_s, _ = struct.unpack("<III", header[4:])
-        payload = np.frombuffer(fh.read(), dtype="<c16")
-    if payload.size != k_s * m_s:
-        raise DataError(f"{path}: truncated payload")
-    return payload.reshape(k_s, m_s).astype(np.complex128)

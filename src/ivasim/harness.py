@@ -8,10 +8,13 @@ with a worker pool and write the contrast/RMSE result tables.
 Both image modes run one pass over the image rows, a block at a time, that
 keeps only the rows the metrics read (the contrast crop, rows that can clear
 the detection threshold, and the minimum row) and never holds the (k_p, m_p)
-image. Full mode, also taken by image exports, forms every row in index
-order. Windowed mode (default) takes rows in descending order of their
-slow-time L1 norm, which bounds each image row, and stops once the rows left
-are certified to hold neither the peak nor a survivor.
+image. The phase correction is pending on the profiles it gets: each block of
+rows is corrected as it is formed, so the uncorrected profiles are the only
+(k_p, m_s) array next to the pass. Full mode, also taken by image exports,
+forms every row in index order. Windowed mode (default) takes rows in
+descending order of their slow-time L1 norm, which bounds each image row, and
+stops once the rows left are certified to hold neither the peak nor a
+survivor.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import frontend, imaging, metrics, scenario, target, tmc
-from .errors import ConfigurationError, DataError, GeometryError, SimulationError
+from .errors import ConfigurationError, GeometryError, SimulationError
 from .metrics import MetricsReport
 from .scenario import DerivedParams, ScenarioConfig
 from .target import ExtendedTarget, KinematicSnapshot, TrajectoryState
@@ -130,6 +133,8 @@ def _image_pass(
 ) -> tuple[imaging.RangeDopplerImage, metrics.CropWindow, float, float]:
     """(kept-row image, crop window, contrast, centroid range) from forming
     ``blocks`` (row slices or index arrays, the crop rows first) in turn.
+    Unless ``profiles`` are phase-corrected, each block is corrected by
+    ``profiles.cpe`` as it is formed.
 
     Besides the crop rows and the row holding the minimum seen so far, a row
     is kept while its peak exceeds the floor eps/2 * (max - min) seen so far,
@@ -150,9 +155,10 @@ def _image_pass(
             _certified(row, delta_lo, eps * pmax) for row in rows.values()
         ):
             break
-        block = imaging.form_image(
-            replace(profiles, s=s[part], axis=axis[part]), derived.m_p, scen.t_sri
-        ).p
+        chunk = replace(profiles, s=s[part], axis=axis[part])
+        if not chunk.phase_corrected:
+            chunk = tmc.apply_phase_correction(chunk, profiles.cpe)
+        block = imaging.form_image(chunk, derived.m_p, scen.t_sri).p
         ids = row_ids[part]
         row_max, row_min = block.max(axis=1), block.min(axis=1)
         low = int(np.argmin(row_min))
@@ -177,7 +183,12 @@ def _windowed_image_metrics(
     """(contrast, centroid range) from the crop rows and the rows that can hold
     the peak or a survivor. Row n of the image is bounded by the slow-time L1
     norm of profile row n, so the other rows go in descending bound order."""
-    bound = np.abs(profiles.s).sum(axis=1)  # max_q |row DFT| <= sum_m |s[n, m]|
+    # max_q |row DFT| <= sum_m |s[n, m]|. The cached sums are taken from the
+    # rows before any pending correction, and |s e^{-i cpe}| equals |s| only
+    # up to rounding (row sums apart by about 4.4e-16 relative), so a margin
+    # of 4 m_s eps keeps the bound above every corrected row's transform. The
+    # bound only decides which rows get formed, never ic or r_hat.
+    bound = profiles.row_l1 * (1 + 4 * profiles.s.shape[1] * np.finfo(float).eps)
     crop = _crop_rows(profiles, snapshot.r0, options.crop_half_range)
     order = np.argsort(-bound, kind="stable")
     order = order[(order < crop.start) | (order >= crop.stop)]
@@ -238,26 +249,27 @@ def run_trial(
     if dump_gs_path:
         frontend.dump_sensing_matrix(dump_gs_path, gs)
 
-    # each large array is dropped after its last read, so the image metrics
-    # run next to the corrected profiles alone
+    # each large array is dropped after its last read, and the phase correction
+    # is left to the rows the image pass forms, so the image metrics run next
+    # to the uncorrected profiles alone
     aligned = tmc.align(gs, scen.delta_f)
     del gs
     profiles = tmc.range_profiles(aligned.gamma, derived.k_p, scen.delta_f)
+    aligned = replace(aligned, gamma=None)  # the debug dump reads only per-symbol fields
     cells = tmc.select_reference_cells(profiles, scen.n_ref, cfg.options.cell_gate)
     cpe = tmc.estimate_cpe(profiles, cells)
-    corrected = tmc.apply_phase_correction(profiles, cpe)
-    del profiles
     if dump_tmc_path:
         tmc.write_debug_csv(dump_tmc_path, aligned, cpe)
     del aligned
+    profiles = profiles.pending_correction(cpe)
 
     if cfg.options.image_mode == "full" or export_image_path or export_csv_path:
         ic, r_hat = _full_image_metrics(
-            corrected, derived, scen, snapshot, cfg.options, export_image_path, export_csv_path
+            profiles, derived, scen, snapshot, cfg.options, export_image_path, export_csv_path
         )
     else:
         ic, r_hat = _windowed_image_metrics(
-            corrected, derived, scen, snapshot, cfg.options
+            profiles, derived, scen, snapshot, cfg.options
         )
 
     return MetricsReport(

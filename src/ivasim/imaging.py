@@ -17,9 +17,7 @@ import numpy as np
 from . import numerics
 from .errors import ConfigurationError, DataError, GeometryError
 from .target import KinematicSnapshot
-from .tmc import RangeProfileSet
-
-ROW_BLOCK = 256  # rows per transform block: 16 MiB of complex bins at m_p = 4096
+from .tmc import ROW_BLOCK, RangeProfileSet
 
 
 @dataclass(frozen=True)

@@ -58,18 +58,6 @@ def fft(x: np.ndarray, n: int, axis: int = -1, out: np.ndarray | None = None) ->
     return np.fft.fft(x, n=n, axis=axis, out=out)
 
 
-def ifft(x: np.ndarray, n: int, axis: int = -1) -> np.ndarray:
-    """Inverse of :func:`fft`, scaled by 1/n so ifft(fft(x)) == x."""
-    n = _check_pow2(n)
-    x = np.asarray(x)
-    if x.shape[axis] > n:
-        raise ConfigurationError(
-            f"input length {x.shape[axis]} exceeds transform size {n}"
-        )
-    _check_finite(x, "ifft input")
-    return np.fft.ifft(x, n=n, axis=axis)
-
-
 def next_pow2(n: int) -> int:
     """Smallest power of two >= n."""
     if n < 1:

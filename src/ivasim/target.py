@@ -230,30 +230,3 @@ def range_drift_terms(
     curv = (-x * cpsi + y * spsi) * 0.5 * (snapshot.omega0 * dt) ** 2 * cphi
     return walk, curv
 
-
-def isorange_approximation(
-    snapshot: KinematicSnapshot,
-    traj: TrajectoryState,
-    scatterer_local: np.ndarray,
-    t: float,
-) -> float:
-    """Straight iso-range range prediction at time t after the reference symbol.
-
-    The exact center range is displaced by the local offset projected at the
-    frozen line-of-sight elevation, with the aspect angle rotating at the
-    constant apparent rate of the reference instant.
-    """
-    x, y, z = (float(v) for v in scatterer_local)
-    center = np.array([traj.midpoint[0], traj.midpoint[1], traj.z_c]) + traj.velocity * t
-    rc = exact_range(traj.bs_position, center)
-    rot = snapshot.psi0 + _signed_rate(snapshot, traj) * t
-    cphi = math.cos(snapshot.phi)
-    return rc + (x * math.cos(rot) - y * math.sin(rot)) * cphi + z * math.sin(snapshot.phi)
-
-
-def _signed_rate(snapshot: KinematicSnapshot, traj: TrajectoryState) -> float:
-    """Aspect-angle rate with sign (positive when the center azimuth decreases)."""
-    vel = traj.velocity
-    ground = snapshot.r0 * math.cos(snapshot.phi)
-    dtheta = (math.cos(snapshot.theta0) * vel[1] - math.sin(snapshot.theta0) * vel[0]) / ground
-    return -dtheta

@@ -14,7 +14,8 @@ power-of-two primitives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from . import numerics
 from .errors import ConfigurationError, DataError
 from .numerics import Quadratic
 from .scenario import C_LIGHT
+
+ROW_BLOCK = 256  # rows per block of a row-wise pass: 16 MiB of complex image bins at m_p = 4096
 
 
 @dataclass(frozen=True)
@@ -35,8 +38,9 @@ class AlignmentResult:
     range axis. delays = (regularized - regularized[ref]) * delta_tau.
     """
 
-    gamma: np.ndarray              # (k_s, m_s) delay-compensated grid
+    gamma: np.ndarray | None       # (k_s, m_s) delay-compensated grid; None once released
     raw_shifts: np.ndarray         # (m_s,) integer shifts, range cells
+    unwrapped_shifts: np.ndarray   # (m_s,) raw shifts unwrapped through phase space, cells
     regularized_shifts: np.ndarray  # (m_s,) fitted shifts, range cells
     fitted: Quadratic
     delays: np.ndarray             # (m_s,) compensated delays, s
@@ -45,12 +49,35 @@ class AlignmentResult:
 
 @dataclass(frozen=True)
 class RangeProfileSet:
-    """Aligned range profiles: rows are range bins, columns slow time."""
+    """Aligned range profiles: rows are range bins, columns slow time.
+
+    With ``phase_corrected`` set, s holds the corrected samples
+    s * exp(-i cpe). With it unset and ``cpe`` given, the correction is
+    pending: s holds the uncorrected samples, and the image pass corrects each
+    block of rows as it forms them (``apply_phase_correction``), so no
+    corrected (k_p, m_s) copy is ever made.
+    """
 
     s: np.ndarray                  # (k_p, m_s) complex
     axis: np.ndarray               # (k_p,) range per bin, m
     phase_corrected: bool = False
     cpe: np.ndarray | None = None  # (m_s,) estimated common phase error, rad
+
+    @cached_property
+    def row_l1(self) -> np.ndarray:
+        """(k_p,) slow-time L1 norm sum_m |s[n, m]| of every row, ROW_BLOCK
+        rows at a time, so no full-size |s| array is made."""
+        return np.concatenate([
+            np.abs(self.s[i:i + ROW_BLOCK]).sum(axis=1)
+            for i in range(0, self.s.shape[0], ROW_BLOCK)
+        ])
+
+    def pending_correction(self, cpe: np.ndarray) -> RangeProfileSet:
+        """These samples with the correction by ``cpe`` pending. The row sums
+        depend on s alone, so they carry over to the cache of the result."""
+        pending = replace(self, phase_corrected=False, cpe=cpe)
+        pending.__dict__["row_l1"] = self.row_l1
+        return pending
 
 
 def _signed_shift(index: np.ndarray, k_s: int) -> np.ndarray:
@@ -113,7 +140,14 @@ def regularize_shifts(raw_shifts: np.ndarray, k_s: int) -> tuple[np.ndarray, Qua
 
 def compensate_delays(gs: np.ndarray, delays: np.ndarray, delta_f: float) -> np.ndarray:
     """Apply the per-symbol delay compensation phase ramp across subcarriers:
-    gamma[k, m] = gs[k, m] * exp(i 2 pi k delta_f tau[m])."""
+    gamma[k, m] = gs[k, m] * exp(i 2 pi k delta_f tau[m]), ROW_BLOCK
+    subcarriers at a time into one output.
+
+    The product is taken as ramp * gs: complex multiply uses FMA and is not
+    bitwise commutative, and this order reproduces the whole-grid expression
+    gs * exp(...) (kept in tests/test_bit_identity.py), which numpy evaluates
+    as exp * gs on grids of 256 KiB and up by reusing the exp temporary.
+    """
     gs = np.asarray(gs)
     delays = np.asarray(delays, dtype=float)
     if not np.all(np.isfinite(delays)):
@@ -121,7 +155,12 @@ def compensate_delays(gs: np.ndarray, delays: np.ndarray, delta_f: float) -> np.
     if delays.shape != (gs.shape[1],):
         raise ConfigurationError("one delay per slow-time column required")
     k = np.arange(gs.shape[0])
-    return gs * np.exp(1j * 2.0 * np.pi * delta_f * np.outer(k, delays))
+    gamma = np.empty(gs.shape, dtype=np.result_type(gs, 1j))
+    for start in range(0, k.size, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        ramp = np.exp(1j * 2.0 * np.pi * delta_f * np.outer(k[rows], delays))
+        np.multiply(ramp, gs[rows], out=gamma[rows])
+    return gamma
 
 
 def align(gs: np.ndarray, delta_f: float) -> AlignmentResult:
@@ -138,6 +177,7 @@ def align(gs: np.ndarray, delta_f: float) -> AlignmentResult:
     return AlignmentResult(
         gamma=gamma,
         raw_shifts=raw,
+        unwrapped_shifts=unwrapped_cells,
         regularized_shifts=regularized,
         fitted=fitted,
         delays=delays,
@@ -174,16 +214,14 @@ def write_debug_csv(
     path: str, result: AlignmentResult, cpe: np.ndarray | None = None
 ) -> None:
     """Per-symbol alignment diagnostics: raw shift, unwrapped shift, fitted
-    shift, compensated delay, and (when given) the estimated common phase."""
-    k_s = result.gamma.shape[0]
-    phase = 2.0 * np.pi * result.raw_shifts / k_s
-    unwrapped = k_s / (2.0 * np.pi) * numerics.unwrap_phase(phase)
+    shift, compensated delay, and (when given) the estimated common phase.
+    Only the per-symbol fields of ``result`` are read, not gamma."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("m_s,q_raw,q_unwrapped,q_fitted,tau_s,cpe_rad\n")
         for m in range(result.raw_shifts.size):
             cpe_val = f"{cpe[m]:.10g}" if cpe is not None else ""
             fh.write(
-                f"{m},{result.raw_shifts[m]},{unwrapped[m]:.10g},"
+                f"{m},{result.raw_shifts[m]},{result.unwrapped_shifts[m]:.10g},"
                 f"{result.regularized_shifts[m]:.10g},{result.delays[m]:.10g},"
                 f"{cpe_val}\n"
             )
@@ -196,18 +234,18 @@ def select_reference_cells(
 
     Cells must pass an energy gate (mean envelope above `gate` of the peak mean
     envelope) so empty noise-only cells, whose absolute variance is small, are
-    never selected. Returned in ascending variance order.
+    never selected. Returned in ascending variance order. The mean envelopes
+    come from the cached row sums; only the eligible rows' envelopes are made.
     """
     if n_ref < 1:
         raise ConfigurationError(f"n_ref must be >= 1, got {n_ref}")
-    env = np.abs(profiles.s)
-    mean_env = env.mean(axis=1)
+    mean_env = profiles.row_l1 / profiles.s.shape[1]
     eligible = np.flatnonzero(mean_env > gate * mean_env.max())
     if eligible.size < n_ref:
         raise DataError(
             f"only {eligible.size} cells pass the energy gate, need {n_ref}"
         )
-    norm_var = env[eligible].var(axis=1) / mean_env[eligible] ** 2
+    norm_var = np.abs(profiles.s[eligible]).var(axis=1) / mean_env[eligible] ** 2
     order = np.lexsort((eligible, norm_var))
     return eligible[order[:n_ref]]
 

@@ -2,9 +2,10 @@
 
 The old formulas are kept here as references: the per-scatterer full-matrix
 phase-ramp accumulation with the reciprocal filter (gs*x + n)/x, the
-column-wise (axis 0) shift estimator, and the roll-based range profiles. The
-current code must reproduce every one of them with np.array_equal, including
-a partial last 128-subcarrier block (k = 2640).
+column-wise (axis 0) shift estimator, the whole-matrix delay ramp and the
+roll-based range profiles. The current code must reproduce every one of them
+with np.array_equal, including a partial last 128-subcarrier block and a
+partial last 256-subcarrier ramp block (k = 2640).
 """
 
 import numpy as np
@@ -70,6 +71,17 @@ def _old_estimate_shifts(gs):
     return shifts.astype(int)
 
 
+def _old_compensate_delays(gs, delays, delta_f):
+    # numpy elides the exp temporary (arrays of 256 KiB and up) and writes the
+    # product into it, so this evaluates as exp * gs. Complex multiply uses FMA
+    # and is not bitwise commutative: a blocked gs[rows] * ramp differs from
+    # this in up to a third of the entries, so the blocked code keeps ramp * gs.
+    # Below 256 KiB nothing is elided and this is gs * exp, which the blocked
+    # code does not reproduce; the default and paper grids are far larger.
+    k = np.arange(gs.shape[0])
+    return gs * np.exp(1j * 2.0 * np.pi * delta_f * np.outer(k, delays))
+
+
 def _old_range_profiles(gamma, k_p):
     return np.roll(numerics.fft(gamma, k_p, axis=0)[::-1], 1, axis=0)
 
@@ -120,6 +132,18 @@ def test_alignment_and_profiles_match_reference(k, noise):
     profiles = tmc.range_profiles(gamma, derived.k_p, scen.delta_f).s
     assert profiles.shape == (derived.k_p, gs.shape[1])
     assert np.array_equal(profiles, _old_range_profiles(gamma, derived.k_p))
+
+
+@pytest.mark.parametrize("k", [1024, 2640])
+@pytest.mark.parametrize("noise", ["on", "off"])
+def test_blocked_delay_ramp_matches_reference(k, noise):
+    (gs, _), scen, _ = _draw(k, noise)
+    aligned = tmc.align(gs, scen.delta_f)
+    assert gs.nbytes >= 256 * 1024  # the reference's exp temporary is elided
+    assert gs.shape[0] % tmc.ROW_BLOCK == (0 if k == 1024 else 80)
+    reference = _old_compensate_delays(gs, aligned.delays, scen.delta_f)
+    assert np.array_equal(aligned.gamma, reference)
+    assert aligned.gamma.tobytes() == reference.tobytes()
 
 
 def test_estimate_shifts_ties_match_reference():

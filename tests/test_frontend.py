@@ -1,5 +1,7 @@
 """Signal synthesis: array responses, wide beams, channel gains, sensing matrix."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from ivasim.frontend import (
     composite_gain,
     dump_sensing_matrix,
     ideal_sector_gain,
-    load_sensing_matrix,
     qpsk_grid,
     sensing_matrix,
     synthesize_wide_beam,
@@ -219,6 +220,20 @@ class TestSensingMatrix:
                 tgt, traj, scen, derived, ideal_sector_gain(0.0, 30.0),
                 grid[:, :-1], rng, noise=False,
             )
+
+
+def load_sensing_matrix(path: str) -> np.ndarray:
+    """Read a matrix written by frontend.dump_sensing_matrix, following the
+    gs.bin format the README documents."""
+    with open(path, "rb") as fh:
+        header = fh.read(16)
+        if len(header) != 16 or header[:4] != frontend.GS_MAGIC:
+            raise DataError(f"{path}: not a sensing-matrix dump")
+        k_s, m_s, _ = struct.unpack("<III", header[4:])
+        payload = np.frombuffer(fh.read(), dtype="<c16")
+    if payload.size != k_s * m_s:
+        raise DataError(f"{path}: truncated payload")
+    return payload.reshape(k_s, m_s).astype(np.complex128)
 
 
 class TestDumpFormat:

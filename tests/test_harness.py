@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import run_pipeline
-from ivasim import harness, imaging, metrics, scenario, target, tmc
+from ivasim import frontend, harness, imaging, metrics, scenario, target, tmc
 from ivasim.errors import ConfigurationError, DataError, GeometryError
 from ivasim.harness import (
     SweepSpec,
@@ -37,6 +37,18 @@ def fast_raw(**extra):
     raw = dict(FAST)
     raw.update({k: str(v) for k, v in extra.items()})
     return raw
+
+
+def eager_metrics(mode, seed, **overrides):
+    """Reference (ic, r_hat) with the whole profiles phase-corrected at once
+    (``run_pipeline`` calls apply_phase_correction on all k_p rows), then the
+    image pass of ``mode`` over the corrected rows: the trial before the
+    correction was left to the rows the pass forms."""
+    run = run_pipeline(fast_raw(image_mode=mode, **overrides), seed)
+    evaluate = {"windowed": harness._windowed_image_metrics,
+                "full": harness._full_image_metrics}[mode]
+    return evaluate(run["corrected"], run["derived"], run["scenario"], run["snapshot"],
+                    run["cfg"].options)
 
 
 class TestRunConfig:
@@ -117,6 +129,12 @@ class TestRunTrial:
         assert win.ic == full.ic
         assert win.centroid_range_est == full.centroid_range_est
 
+    @settings(max_examples=50, deadline=None)
+    @given(mode=st.sampled_from(["windowed", "full"]), **SCENARIOS)
+    def test_lazy_correction_equals_eager(self, mode, seed, **overrides):
+        report = self._trial(mode, seed, **overrides)
+        assert (report.ic, report.centroid_range_est) == eager_metrics(mode, seed, **overrides)
+
     @settings(max_examples=10, deadline=None)
     @given(**SCENARIOS)
     def test_zero_mean_crop_rejected_in_both_modes(self, seed, **overrides):
@@ -125,6 +143,7 @@ class TestRunTrial:
         correct = tmc.apply_phase_correction
 
         def crop_zeroed(profiles, cpe):
+            # called on each block of rows the image pass forms
             out = correct(profiles, cpe)
             out.s[np.abs(out.axis - r0) <= cfg.options.crop_half_range] = 0.0
             return out
@@ -159,6 +178,28 @@ class TestRunTrial:
         assert csv_path.exists()
         assert gs_path.read_bytes()[:4] == b"IVAG"
         assert tmc_path.read_text().startswith("m_s,q_raw,")
+
+    def test_one_profile_sized_array_at_a_time(self, monkeypatch):
+        """A windowed k=2640, m_s=200 trial allocates under 1.5x the bytes of
+        its (k_p, m_s) complex profiles from the end of the sensing matrix on:
+        no corrected copy of the profiles, and no |profiles| array, is made."""
+        build = frontend.sensing_matrix
+
+        def then_trace(*args, **kwargs):
+            out = build(*args, **kwargs)
+            tracemalloc.start()
+            return out
+
+        monkeypatch.setattr(frontend, "sensing_matrix", then_trace)
+        cfg = load_run_config(overrides={"k": 2640, "m_s": 200})
+        assert cfg.options.image_mode == "windowed"
+        profile_bytes = scenario.derive(cfg.scenario).k_p * cfg.scenario.m_s * 16
+        try:
+            run_trial(cfg, trial_seed(2, 0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * profile_bytes
 
 
 class TestSeedSplitting:
@@ -460,16 +501,15 @@ class TestFullImageStream:
     @pytest.mark.parametrize("noise", ["on", "off"])
     def test_metrics_step_peak_below_quarter_image(self, monkeypatch, noise):
         """At k=2640, m_s=200 the image is 8192 x 2048 float64, 128 MiB. The
-        trial allocates under a quarter of that from the end of phase
-        correction on."""
-        correct = tmc.apply_phase_correction
+        trial allocates under a quarter of that from the start of the image
+        pass on, the phase correction of the rows it forms included."""
+        stream = harness._full_image_metrics
 
-        def then_trace(*args):
-            out = correct(*args)
+        def traced(*args):
             tracemalloc.start()
-            return out
+            return stream(*args)
 
-        monkeypatch.setattr(tmc, "apply_phase_correction", then_trace)
+        monkeypatch.setattr(harness, "_full_image_metrics", traced)
         cfg = load_run_config(
             overrides={"k": 2640, "m_s": 200, "noise": noise, "image_mode": "full"}
         )

@@ -1,5 +1,7 @@
 """Target geometry, kinematics, and iso-range analysis checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,30 @@ from ivasim.target import (
     cross_range_resolution,
     default_vehicle,
     exact_range,
-    isorange_approximation,
     range_drift_terms,
     reference_index,
     scatterer_positions,
     slow_time,
 )
+
+
+def isorange_approximation(snapshot, traj, scatterer_local, t):
+    """Straight iso-range range prediction at time t after the reference symbol.
+
+    The exact center range is displaced by the local offset projected at the
+    frozen line-of-sight elevation, with the aspect angle rotating at the
+    constant apparent rate of the reference instant (signed: positive when
+    the center azimuth decreases).
+    """
+    x, y, z = (float(v) for v in scatterer_local)
+    center = np.array([traj.midpoint[0], traj.midpoint[1], traj.z_c]) + traj.velocity * t
+    rc = exact_range(traj.bs_position, center)
+    vel = traj.velocity
+    ground = snapshot.r0 * math.cos(snapshot.phi)
+    rate = -(math.cos(snapshot.theta0) * vel[1] - math.sin(snapshot.theta0) * vel[0]) / ground
+    rot = snapshot.psi0 + rate * t
+    cphi = math.cos(snapshot.phi)
+    return rc + (x * math.cos(rot) - y * math.sin(rot)) * cphi + z * math.sin(snapshot.phi)
 
 
 @pytest.fixture
