@@ -8,13 +8,13 @@ with a worker pool and write the contrast/RMSE result tables.
 Both image modes run one pass over the image rows, a block at a time, that
 keeps only the rows the metrics read (the contrast crop, rows that can clear
 the detection threshold, and the minimum row) and never holds the (k_p, m_p)
-image. The phase correction is pending on the profiles it gets: each block of
-rows is corrected as it is formed, so the uncorrected profiles are the only
-(k_p, m_s) array next to the pass. Full mode, also taken by image exports,
-forms every row in index order. Windowed mode (default) takes rows in
-descending order of their slow-time L1 norm, which bounds each image row, and
-stops once the rows left are certified to hold neither the peak nor a
-survivor.
+image. It gets the uncorrected profiles and the common phase error, and
+corrects each block of rows as it forms it, so the profiles are the only
+(k_p, m_s) array next to the pass. Full mode forms every row in index order.
+Windowed mode (default) takes rows in descending order of their slow-time L1
+norm, which bounds each image row, and stops once the rows left are certified
+to hold neither the peak nor a survivor. Either mode holds every crop row, so
+the image exports of a trial are the same bytes in both.
 """
 
 from __future__ import annotations
@@ -89,28 +89,6 @@ def trial_seed(master_seed: int, point_index: int, trial_index: int) -> np.rando
 # --------------------------------------------------------------------------
 
 
-def _kept_row_image(
-    rows: dict, profiles: tmc.RangeProfileSet, derived: DerivedParams, scen: ScenarioConfig,
-    snapshot: KinematicSnapshot, options: SimOptions,
-) -> tuple[imaging.RangeDopplerImage, metrics.CropWindow, float]:
-    """The image rows held in ``rows`` (row index -> row) stacked in index
-    order, with their crop window and contrast. Every crop row must be held."""
-    picked = sorted(rows)
-    image = imaging.attach_crossrange(
-        imaging.RangeDopplerImage(
-            p=np.stack([rows[i] for i in picked]),
-            range_axis=profiles.axis[picked],
-            doppler_axis=imaging.doppler_axis(derived.m_p, scen.t_sri),
-        ),
-        snapshot,
-        derived.wavelength,
-    )
-    window = metrics.make_crop_window(
-        image, snapshot.r0, options.crop_half_range, options.crop_half_crossrange
-    )
-    return image, window, metrics.image_contrast(image, window)
-
-
 WINDOW_BLOCK = 64  # rows per windowed-mode block, taken in descending bound order
 
 
@@ -119,22 +97,15 @@ def _certified(p: np.ndarray, delta_lo: float, delta_hi: float) -> bool:
     return not np.any((p >= delta_lo) & (p < delta_hi))
 
 
-def _crop_rows(profiles: tmc.RangeProfileSet, r0: float, half_range: float) -> slice:
-    """The contrast crop's rows, contiguous on the sorted range axis."""
-    crop = np.flatnonzero(np.abs(profiles.axis - r0) <= half_range)
-    if crop.size == 0:
-        raise ConfigurationError("crop window does not intersect the image")
-    return slice(int(crop[0]), int(crop[-1]) + 1)
-
-
 def _image_pass(
-    profiles: tmc.RangeProfileSet, derived: DerivedParams, scen: ScenarioConfig,
-    snapshot: KinematicSnapshot, options: SimOptions, blocks: list, bound=None,
+    profiles: tmc.RangeProfileSet, cpe: np.ndarray, derived: DerivedParams,
+    scen: ScenarioConfig, snapshot: KinematicSnapshot, options: SimOptions, blocks: list,
+    bound=None,
 ) -> tuple[imaging.RangeDopplerImage, metrics.CropWindow, float, float]:
-    """(kept-row image, crop window, contrast, centroid range) from forming
-    ``blocks`` (row slices or index arrays, the crop rows first) in turn.
-    Unless ``profiles`` are phase-corrected, each block is corrected by
-    ``profiles.cpe`` as it is formed.
+    """(image, crop window, contrast, centroid range) from forming ``blocks``
+    (row slices or index arrays, the crop rows first) in turn, each block
+    phase-corrected by ``cpe`` as it is formed. The image holds the kept rows
+    in index order, every crop row among them.
 
     Besides the crop rows and the row holding the minimum seen so far, a row
     is kept while its peak exceeds the floor eps/2 * (max - min) seen so far,
@@ -155,9 +126,7 @@ def _image_pass(
             _certified(row, delta_lo, eps * pmax) for row in rows.values()
         ):
             break
-        chunk = replace(profiles, s=s[part], axis=axis[part])
-        if not chunk.phase_corrected:
-            chunk = tmc.apply_phase_correction(chunk, profiles.cpe)
+        chunk = tmc.apply_phase_correction(tmc.RangeProfileSet(s[part], axis[part]), cpe)
         block = imaging.form_image(chunk, derived.m_p, scen.t_sri).p
         ids = row_ids[part]
         row_max, row_min = block.max(axis=1), block.min(axis=1)
@@ -172,48 +141,50 @@ def _image_pass(
             del rows[i], peaks[i]
     rows.setdefault(*min_row)
 
-    image, window, ic = _kept_row_image(rows, profiles, derived, scen, snapshot, options)
-    return image, window, ic, metrics.centroid_range(metrics.threshold_image(image, eps))
+    picked = sorted(rows)
+    image = imaging.attach_crossrange(imaging.RangeDopplerImage(
+        p=np.stack([rows[i] for i in picked]), range_axis=axis[picked],
+        doppler_axis=imaging.doppler_axis(derived.m_p, scen.t_sri),
+    ), snapshot, derived.wavelength)
+    window = metrics.make_crop_window(
+        image, snapshot.r0, options.crop_half_range, options.crop_half_crossrange
+    )
+    return (image, window, metrics.image_contrast(image, window),
+            metrics.centroid_range(metrics.threshold_image(image, eps)))
 
 
 def _windowed_image_metrics(
-    profiles: tmc.RangeProfileSet, derived: DerivedParams, scen: ScenarioConfig,
-    snapshot: KinematicSnapshot, options: SimOptions,
-) -> tuple[float, float]:
-    """(contrast, centroid range) from the crop rows and the rows that can hold
-    the peak or a survivor. Row n of the image is bounded by the slow-time L1
-    norm of profile row n, so the other rows go in descending bound order."""
+    profiles: tmc.RangeProfileSet, cpe: np.ndarray, derived: DerivedParams,
+    scen: ScenarioConfig, snapshot: KinematicSnapshot, options: SimOptions,
+) -> tuple[imaging.RangeDopplerImage, metrics.CropWindow, float, float]:
+    """``_image_pass`` over the crop rows and the rows that can hold the peak
+    or a survivor. Row n of the image is bounded by the slow-time L1 norm of
+    profile row n, so the other rows go in descending bound order."""
     # max_q |row DFT| <= sum_m |s[n, m]|. The cached sums are taken from the
-    # rows before any pending correction, and |s e^{-i cpe}| equals |s| only
-    # up to rounding (row sums apart by about 4.4e-16 relative), so a margin
-    # of 4 m_s eps keeps the bound above every corrected row's transform. The
-    # bound only decides which rows get formed, never ic or r_hat.
+    # uncorrected rows, and |s e^{-i cpe}| equals |s| only up to rounding (row
+    # sums apart by about 4.4e-16 relative), so a margin of 4 m_s eps keeps
+    # the bound above every corrected row's transform. The bound only decides
+    # which rows get formed, never ic or r_hat.
     bound = profiles.row_l1 * (1 + 4 * profiles.s.shape[1] * np.finfo(float).eps)
-    crop = _crop_rows(profiles, snapshot.r0, options.crop_half_range)
+    crop = metrics.crop_rows(profiles.axis, snapshot.r0, options.crop_half_range)
     order = np.argsort(-bound, kind="stable")
-    order = order[(order < crop.start) | (order >= crop.stop)]
+    order = order[(order < crop[0]) | (order > crop[-1])]
     blocks = [order[i:i + WINDOW_BLOCK] for i in range(0, order.size, WINDOW_BLOCK)]
-    return _image_pass(profiles, derived, scen, snapshot, options, [crop, *blocks], bound)[2:]
+    return _image_pass(profiles, cpe, derived, scen, snapshot, options, [crop, *blocks], bound)
 
 
 def _full_image_metrics(
-    profiles: tmc.RangeProfileSet, derived: DerivedParams, scen: ScenarioConfig,
-    snapshot: KinematicSnapshot, options: SimOptions,
-    export_image_path: str | None = None, export_csv_path: str | None = None,
-) -> tuple[float, float]:
-    """(contrast, centroid range) of the full image, the rows outside the crop
-    in index order ``imaging.ROW_BLOCK`` at a time; exports write its crop."""
-    crop = _crop_rows(profiles, snapshot.r0, options.crop_half_range)
+    profiles: tmc.RangeProfileSet, cpe: np.ndarray, derived: DerivedParams,
+    scen: ScenarioConfig, snapshot: KinematicSnapshot, options: SimOptions,
+) -> tuple[imaging.RangeDopplerImage, metrics.CropWindow, float, float]:
+    """``_image_pass`` over every row, those outside the crop in index order
+    ``imaging.ROW_BLOCK`` at a time: the full image's contrast and centroid."""
+    crop = metrics.crop_rows(profiles.axis, snapshot.r0, options.crop_half_range)
     k_p, size = profiles.s.shape[0], imaging.ROW_BLOCK
     blocks = [crop] + [slice(i, min(i + size, stop))
-                       for start, stop in ((0, crop.start), (crop.stop, k_p))
+                       for start, stop in ((0, crop[0]), (crop[-1] + 1, k_p))
                        for i in range(start, stop, size)]
-    image, window, ic, r_hat = _image_pass(profiles, derived, scen, snapshot, options, blocks)
-    if export_image_path:
-        imaging.export_pgm(image, export_image_path, window.rows, window.cols)
-    if export_csv_path:
-        imaging.export_csv(image, export_csv_path, window.rows, window.cols)
-    return ic, r_hat
+    return _image_pass(profiles, cpe, derived, scen, snapshot, options, blocks)
 
 
 # --------------------------------------------------------------------------
@@ -249,28 +220,24 @@ def run_trial(
     if dump_gs_path:
         frontend.dump_sensing_matrix(dump_gs_path, gs)
 
-    # each large array is dropped after its last read, and the phase correction
-    # is left to the rows the image pass forms, so the image metrics run next
-    # to the uncorrected profiles alone
-    aligned = tmc.align(gs, scen.delta_f)
+    # each large array is dropped after its last read, and the image pass
+    # phase-corrects only the rows it forms, so it runs next to the
+    # uncorrected profiles alone
+    gamma, aligned = tmc.align(gs, scen.delta_f)
     del gs
-    profiles = tmc.range_profiles(aligned.gamma, derived.k_p, scen.delta_f)
-    aligned = replace(aligned, gamma=None)  # the debug dump reads only per-symbol fields
+    profiles = tmc.range_profiles(gamma, derived.k_p, scen.delta_f)
+    del gamma
     cells = tmc.select_reference_cells(profiles, scen.n_ref, cfg.options.cell_gate)
     cpe = tmc.estimate_cpe(profiles, cells)
     if dump_tmc_path:
         tmc.write_debug_csv(dump_tmc_path, aligned, cpe)
-    del aligned
-    profiles = profiles.pending_correction(cpe)
 
-    if cfg.options.image_mode == "full" or export_image_path or export_csv_path:
-        ic, r_hat = _full_image_metrics(
-            profiles, derived, scen, snapshot, cfg.options, export_image_path, export_csv_path
-        )
-    else:
-        ic, r_hat = _windowed_image_metrics(
-            profiles, derived, scen, snapshot, cfg.options
-        )
+    evaluate = _full_image_metrics if cfg.options.image_mode == "full" else _windowed_image_metrics
+    image, window, ic, r_hat = evaluate(profiles, cpe, derived, scen, snapshot, cfg.options)
+    if export_image_path:
+        imaging.export_pgm(image, export_image_path, window.rows, window.cols)
+    if export_csv_path:
+        imaging.export_csv(image, export_csv_path, window.rows, window.cols)
 
     return MetricsReport(
         trial=trial,
@@ -470,6 +437,8 @@ def main(argv=None) -> int:
             raw["image_mode"] = args.image_mode
         cfg = run_config_from_raw(raw)
         seed = args.seed if args.seed is not None else cfg.scenario.seed
+        if seed < 0:
+            raise ConfigurationError(f"--seed must be >= 0, got {seed}")
         if args.sweep is not None or args.n_mc is not None or args.full:
             spec = load_sweep_spec(args.sweep)
             if args.full:

@@ -45,8 +45,6 @@ def doppler_rows(s: np.ndarray, m_p: int) -> np.ndarray:
 def form_image(profiles: RangeProfileSet, m_p: int, t_sri: float) -> RangeDopplerImage:
     """Doppler-process phase-corrected profiles into a magnitude image, one
     block of rows at a time."""
-    if not profiles.phase_corrected:
-        raise ConfigurationError("image formation expects phase-corrected profiles")
     k_p, m_s = profiles.s.shape
     if m_p < 10 * m_s:
         raise ConfigurationError(f"m_p={m_p} below the 10x slow-time padding floor")

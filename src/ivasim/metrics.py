@@ -27,6 +27,15 @@ class CropWindow:
     cols: np.ndarray
 
 
+def crop_rows(axis: np.ndarray, center: float, half: float) -> np.ndarray:
+    """Indices of the bins of ``axis`` within ``half`` of ``center``: the
+    contrast crop's rows, contiguous on a sorted range axis."""
+    rows = np.flatnonzero(np.abs(axis - center) <= half)
+    if rows.size == 0:
+        raise ConfigurationError("crop window does not intersect the image")
+    return rows
+
+
 def make_crop_window(
     image: RangeDopplerImage,
     center_range: float,
@@ -36,9 +45,9 @@ def make_crop_window(
     """Resolve a physical crop (range x cross-range) into index sets."""
     if image.crossrange_axis is None:
         raise ConfigurationError("crop window needs a cross-range axis")
-    rows = np.flatnonzero(np.abs(image.range_axis - center_range) <= half_range)
+    rows = crop_rows(image.range_axis, center_range, half_range)
     cols = np.flatnonzero(np.abs(image.crossrange_axis) <= half_crossrange)
-    if rows.size == 0 or cols.size == 0:
+    if cols.size == 0:
         raise ConfigurationError("crop window does not intersect the image")
     return CropWindow(rows=rows, cols=cols)
 

@@ -61,8 +61,15 @@ class ScenarioConfig:
             raise ConfigurationError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if self.n_ref < 1:
             raise ConfigurationError(f"n_ref must be >= 1, got {self.n_ref}")
-        if self.t_g < 0:
-            raise ConfigurationError(f"t_g must be nonnegative, got {self.t_g}")
+        if min(self.t_g, self.t0, self.seed) < 0:
+            raise ConfigurationError(
+                f"t_g, t0 and seed must be nonnegative, got t_g={self.t_g}, t0={self.t0}, "
+                f"seed={self.seed}"
+            )
+        if min(self.n_t, self.n_r) < 1:
+            raise ConfigurationError(
+                f"n_t and n_r must be >= 1, got n_t={self.n_t}, n_r={self.n_r}"
+            )
         if self.f_c <= 0 or self.t_f <= 0:
             raise ConfigurationError(
                 f"f_c and t_f must be positive, got f_c={self.f_c}, t_f={self.t_f}"

@@ -14,7 +14,7 @@ power-of-two primitives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -23,6 +23,7 @@ from . import numerics
 from .errors import ConfigurationError, DataError
 from .numerics import Quadratic
 from .scenario import C_LIGHT
+from .target import reference_index
 
 ROW_BLOCK = 256  # rows per block of a row-wise pass: 16 MiB of complex image bins at m_p = 4096
 
@@ -38,7 +39,6 @@ class AlignmentResult:
     range axis. delays = (regularized - regularized[ref]) * delta_tau.
     """
 
-    gamma: np.ndarray | None       # (k_s, m_s) delay-compensated grid; None once released
     raw_shifts: np.ndarray         # (m_s,) integer shifts, range cells
     unwrapped_shifts: np.ndarray   # (m_s,) raw shifts unwrapped through phase space, cells
     regularized_shifts: np.ndarray  # (m_s,) fitted shifts, range cells
@@ -49,19 +49,12 @@ class AlignmentResult:
 
 @dataclass(frozen=True)
 class RangeProfileSet:
-    """Aligned range profiles: rows are range bins, columns slow time.
-
-    With ``phase_corrected`` set, s holds the corrected samples
-    s * exp(-i cpe). With it unset and ``cpe`` given, the correction is
-    pending: s holds the uncorrected samples, and the image pass corrects each
-    block of rows as it forms them (``apply_phase_correction``), so no
-    corrected (k_p, m_s) copy is ever made.
-    """
+    """Range profiles: rows are range bins, columns slow time. They carry no
+    correction state; the holder of the common phase error corrects them
+    (``apply_phase_correction``), in a trial one formed block at a time."""
 
     s: np.ndarray                  # (k_p, m_s) complex
     axis: np.ndarray               # (k_p,) range per bin, m
-    phase_corrected: bool = False
-    cpe: np.ndarray | None = None  # (m_s,) estimated common phase error, rad
 
     @cached_property
     def row_l1(self) -> np.ndarray:
@@ -71,13 +64,6 @@ class RangeProfileSet:
             np.abs(self.s[i:i + ROW_BLOCK]).sum(axis=1)
             for i in range(0, self.s.shape[0], ROW_BLOCK)
         ])
-
-    def pending_correction(self, cpe: np.ndarray) -> RangeProfileSet:
-        """These samples with the correction by ``cpe`` pending. The row sums
-        depend on s alone, so they carry over to the cache of the result."""
-        pending = replace(self, phase_corrected=False, cpe=cpe)
-        pending.__dict__["row_l1"] = self.row_l1
-        return pending
 
 
 def _signed_shift(index: np.ndarray, k_s: int) -> np.ndarray:
@@ -105,7 +91,7 @@ def estimate_shifts(gs: np.ndarray) -> np.ndarray:
     np.fft.fft(buf, axis=1, out=buf)
     np.abs(buf, out=buf)                            # envelopes, imaginary parts +0
     np.fft.ifft(buf, axis=1, out=buf)
-    reference = np.conj(buf[m_s // 2 - 1])
+    reference = np.conj(buf[reference_index(m_s)])
     np.multiply(buf, reference, out=buf)
     np.fft.ifft(buf, axis=1, out=buf)
     correlation = np.abs(buf)
@@ -163,19 +149,19 @@ def compensate_delays(gs: np.ndarray, delays: np.ndarray, delta_f: float) -> np.
     return gamma
 
 
-def align(gs: np.ndarray, delta_f: float) -> AlignmentResult:
-    """Full range alignment: estimate, regularize, and compensate."""
+def align(gs: np.ndarray, delta_f: float) -> tuple[np.ndarray, AlignmentResult]:
+    """Full range alignment: estimate, regularize, and compensate. Returns the
+    (k_s, m_s) delay-compensated grid gamma and the per-symbol outcome."""
     k_s = gs.shape[0]
     raw = estimate_shifts(gs)
     regularized, fitted = regularize_shifts(raw, k_s)
     delta_tau = 1.0 / (k_s * delta_f)
-    delays = (regularized - regularized[gs.shape[1] // 2 - 1]) * delta_tau
+    delays = (regularized - regularized[reference_index(gs.shape[1])]) * delta_tau
     gamma = compensate_delays(gs, delays, delta_f)
     phase = 2.0 * np.pi * raw / k_s
     unwrapped_cells = k_s / (2.0 * np.pi) * numerics.unwrap_phase(phase)
     residual = unwrapped_cells - regularized
-    return AlignmentResult(
-        gamma=gamma,
+    return gamma, AlignmentResult(
         raw_shifts=raw,
         unwrapped_shifts=unwrapped_cells,
         regularized_shifts=regularized,
@@ -202,20 +188,15 @@ def range_profiles(gamma: np.ndarray, k_p: int, delta_f: float) -> RangeProfileS
     numerics.fft(gamma, k_p, axis=0, out=buf[k_p:0:-1])
     buf[0] = buf[k_p]
     range_bin = C_LIGHT / (2.0 * k_p * delta_f)
-    return RangeProfileSet(
-        s=buf[:k_p],
-        axis=np.arange(k_p) * range_bin,
-        phase_corrected=False,
-        cpe=None,
-    )
+    return RangeProfileSet(s=buf[:k_p], axis=np.arange(k_p) * range_bin)
 
 
 def write_debug_csv(
     path: str, result: AlignmentResult, cpe: np.ndarray | None = None
 ) -> None:
-    """Per-symbol alignment diagnostics: raw shift, unwrapped shift, fitted
-    shift, compensated delay, and (when given) the estimated common phase.
-    Only the per-symbol fields of ``result`` are read, not gamma."""
+    """Per-symbol alignment diagnostics from ``result``: raw shift, unwrapped
+    shift, fitted shift, compensated delay, and (when given) the estimated
+    common phase."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("m_s,q_raw,q_unwrapped,q_fitted,tau_s,cpe_rad\n")
         for m in range(result.raw_shifts.size):
@@ -274,7 +255,4 @@ def apply_phase_correction(profiles: RangeProfileSet, cpe: np.ndarray) -> RangeP
     cpe = np.asarray(cpe, dtype=float)
     if cpe.shape != (profiles.s.shape[1],):
         raise ConfigurationError("one phase-correction value per symbol required")
-    corrected = profiles.s * np.exp(-1j * cpe)[None, :]
-    return RangeProfileSet(
-        s=corrected, axis=profiles.axis, phase_corrected=True, cpe=cpe
-    )
+    return RangeProfileSet(s=profiles.s * np.exp(-1j * cpe)[None, :], axis=profiles.axis)

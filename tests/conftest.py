@@ -16,8 +16,8 @@ def run_pipeline(overrides, seed=0):
     gs = frontend.sensing_matrix(
         cfg.target, cfg.traj, scen, derived, gain, grid, rng, noise=cfg.options.noise
     )
-    aligned = tmc.align(gs, scen.delta_f)
-    profiles = tmc.range_profiles(aligned.gamma, derived.k_p, scen.delta_f)
+    gamma, aligned = tmc.align(gs, scen.delta_f)
+    profiles = tmc.range_profiles(gamma, derived.k_p, scen.delta_f)
     cells = tmc.select_reference_cells(profiles, scen.n_ref, cfg.options.cell_gate)
     cpe = tmc.estimate_cpe(profiles, cells)
     corrected = tmc.apply_phase_correction(profiles, cpe)

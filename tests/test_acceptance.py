@@ -91,8 +91,8 @@ def test_criterion_3_single_scatterer_localization():
         tgt, traj, scen, derived, frontend.ideal_sector_gain(0.0, 30.0), grid, rng,
         noise=False,
     )
-    aligned = tmc.align(gs, scen.delta_f)
-    profiles = tmc.range_profiles(aligned.gamma, derived.k_p, scen.delta_f)
+    gamma, _ = tmc.align(gs, scen.delta_f)
+    profiles = tmc.range_profiles(gamma, derived.k_p, scen.delta_f)
     cells = tmc.select_reference_cells(profiles, 1)
     corrected = tmc.apply_phase_correction(profiles, tmc.estimate_cpe(profiles, cells))
     image = imaging.form_image(corrected, derived.m_p, scen.t_sri)

@@ -4,8 +4,8 @@ The reference values in ``golden.json`` are keyed by numpy version and CPU
 architecture, since FFT rounding may differ between them. They pin ``float.hex``
 of ic and r_hat for single trials in both image modes, the SHA-256 of a small
 sweep's CSV data rows (``#`` header lines left out) and the SHA-256 of the
-image files of one ``--export-image`` run, so any change that moves an output
-bit fails here. To add an entry for a new environment, run this file as a script
+image files of one ``--export-image`` run, the same in both image modes, so
+any change that moves an output bit fails here. To add an entry for a new environment, run this file as a script
 on a commit whose outputs are trusted; it prints the entry to paste into
 ``golden.json``, and on stderr, for each pinned ic or r_hat that differs from
 the entry already there, the old hex, the new hex and their distance in ulp.
@@ -75,11 +75,12 @@ def sweep_digest(out_dir: Path, workers: int) -> str:
     return h.hexdigest()
 
 
-def export_digests(out_dir: Path) -> dict:
+def export_digests(out_dir: Path, mode: str = "windowed") -> dict:
     """SHA-256 of the files written by one single-trial --export-image run."""
     cfg = out_dir / "export.cfg"
     cfg.write_text(EXPORT_CONFIG)
-    argv = ["--config", str(cfg), "--seed", "1", "--out", str(out_dir), "--export-image"]
+    argv = ["--config", str(cfg), "--seed", "1", "--out", str(out_dir), "--export-image",
+            "--image-mode", mode]
     with contextlib.redirect_stdout(io.StringIO()):
         assert harness.main(argv) == 0
     return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
@@ -129,8 +130,10 @@ def test_full_mode_trial_bits(golden, point):
     assert trial_hex(*point, mode="full") == golden["full_trials"][trial_id(*point)]
 
 
-def test_export_files(golden, tmp_path):
-    assert export_digests(tmp_path) == golden["export_sha256"]
+@pytest.mark.parametrize("mode", ["windowed", "full"])
+def test_export_files(golden, tmp_path, mode):
+    """Both image modes hold every crop row, so they export the same bytes."""
+    assert export_digests(tmp_path, mode) == golden["export_sha256"]
 
 
 def test_ulp_distance():

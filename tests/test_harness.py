@@ -39,18 +39,6 @@ def fast_raw(**extra):
     return raw
 
 
-def eager_metrics(mode, seed, **overrides):
-    """Reference (ic, r_hat) with the whole profiles phase-corrected at once
-    (``run_pipeline`` calls apply_phase_correction on all k_p rows), then the
-    image pass of ``mode`` over the corrected rows: the trial before the
-    correction was left to the rows the pass forms."""
-    run = run_pipeline(fast_raw(image_mode=mode, **overrides), seed)
-    evaluate = {"windowed": harness._windowed_image_metrics,
-                "full": harness._full_image_metrics}[mode]
-    return evaluate(run["corrected"], run["derived"], run["scenario"], run["snapshot"],
-                    run["cfg"].options)
-
-
 class TestRunConfig:
     def test_defaults(self):
         cfg = load_run_config()
@@ -132,8 +120,13 @@ class TestRunTrial:
     @settings(max_examples=50, deadline=None)
     @given(mode=st.sampled_from(["windowed", "full"]), **SCENARIOS)
     def test_lazy_correction_equals_eager(self, mode, seed, **overrides):
+        """The trial, which corrects only the rows its image pass forms, gives
+        the bits of the whole profiles corrected at once (``run_pipeline``
+        calls apply_phase_correction on all k_p rows) and the whole image."""
         report = self._trial(mode, seed, **overrides)
-        assert (report.ic, report.centroid_range_est) == eager_metrics(mode, seed, **overrides)
+        run = run_pipeline(fast_raw(image_mode=mode, **overrides), seed)
+        reference = TestFullImageStream._whole_image_reference(run)
+        assert (report.ic, report.centroid_range_est) == reference
 
     @settings(max_examples=10, deadline=None)
     @given(**SCENARIOS)
@@ -381,8 +374,7 @@ class TestWindowedFallback:
     @pytest.mark.parametrize("noise", ["on", "off"])
     def test_forced_fallback_matches_all_rows(self, monkeypatch, noise):
         run = run_pipeline({"k": 2640, "m_s": 48, "noise": noise}, seed=2)
-        args = (run["corrected"], run["derived"], run["scenario"], run["snapshot"],
-                run["cfg"].options)
+        args = (run["derived"], run["scenario"], run["snapshot"], run["cfg"].options)
         calls = []
 
         def uncertified(*a):
@@ -392,12 +384,12 @@ class TestWindowedFallback:
         monkeypatch.setattr(harness, "_certified", uncertified)
         tracemalloc.start()
         try:
-            got = harness._windowed_image_metrics(*args)
+            got = harness._windowed_image_metrics(run["profiles"], run["cpe"], *args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert calls, "certification was not consulted"
-        assert got == self._all_rows_reference(*args)
+        assert got[2:] == self._all_rows_reference(run["corrected"], *args)
         k_p, m_p = run["derived"].k_p, run["derived"].m_p
         assert peak < k_p * m_p * 8 / 4
 
@@ -425,20 +417,23 @@ class TestFullImageStream:
 
     @staticmethod
     def _args(run):
-        return (run["corrected"], run["derived"], run["scenario"], run["snapshot"],
+        return (run["profiles"], run["cpe"], run["derived"], run["scenario"], run["snapshot"],
                 run["cfg"].options)
 
     @classmethod
     def _streamed(cls, run):
-        return harness._full_image_metrics(*cls._args(run))
+        """(ic, r_hat) of the full-mode pass."""
+        return harness._full_image_metrics(*cls._args(run))[2:]
 
     @staticmethod
     def _constant_rows(run, values):
         """The run with profiles whose image row n is constant at values[n]:
-        each profile row holds one sample, at the first symbol."""
+        each profile row holds one sample, at the first symbol, and with a
+        zero common phase error, so they are their own corrected profiles."""
         s = np.zeros_like(run["corrected"].s)
         s[:, 0] = values
-        return dict(run, corrected=replace(run["corrected"], s=s))
+        profiles = replace(run["corrected"], s=s)
+        return dict(run, profiles=profiles, corrected=profiles, cpe=np.zeros_like(run["cpe"]))
 
     @settings(max_examples=50, deadline=None)
     @given(**TestRunTrial.SCENARIOS)
@@ -464,7 +459,7 @@ class TestFullImageStream:
         run = self._constant_rows(run, values)
         assert self._streamed(run) == self._whole_image_reference(run)
 
-    def test_rows_that_fall_below_the_floor_are_released(self, monkeypatch):
+    def test_rows_that_fall_below_the_floor_are_released(self):
         """The crop rows, at 0.05, come first; the first 200 other rows, at
         0.1, then clear the floor 0.015 set by them and the zero rows. The
         last 10 rows, at 1, raise the floor to 0.15 and the 0.1 rows are let
@@ -478,16 +473,9 @@ class TestFullImageStream:
         values[-10:] = 1.0
         assert not in_crop[-10:].any() and run["derived"].k_p > 2 * imaging.ROW_BLOCK
         run = self._constant_rows(run, values)
-        kept = []
-        stack = harness._kept_row_image
-
-        def counted(rows, *args):
-            kept.append(len(rows))
-            return stack(rows, *args)
-
-        monkeypatch.setattr(harness, "_kept_row_image", counted)
-        assert self._streamed(run) == self._whole_image_reference(run)
-        assert kept == [in_crop.sum() + 10 + 1]
+        image, _, ic, r_hat = harness._full_image_metrics(*self._args(run))
+        assert (ic, r_hat) == self._whole_image_reference(run)
+        assert image.p.shape[0] == in_crop.sum() + 10 + 1
 
     def test_all_zero_profiles_rejected_as_before(self):
         """Both modes reject all-zero profiles as the whole image does."""
@@ -609,17 +597,18 @@ class TestConfigValuesCheckedAtParse:
 
 @pytest.mark.usefixtures("no_trials")
 class TestConfigsThatBreakDerive:
-    """Values that would divide by zero or overflow in scenario.derive end in
-    an error line and exit 1, before any trial runs."""
+    """Values that would divide by zero or overflow in scenario.derive, or
+    crash a trial later (no array elements, a negative noise temperature or
+    seed), end in an error line and exit 1, before any trial runs."""
 
-    LINES = ["f_c = 0", "t_f = 0", "p_t_dbm = 1e308", "noise_figure_db = 1e308"]
+    LINES = ["f_c = 0", "t_f = 0", "p_t_dbm = 1e308", "noise_figure_db = 1e308",
+             "n_t = 0", "n_r = 0", "t0 = -1", "seed = -3"]
 
-    @pytest.mark.parametrize("sweep", [False, True], ids=["single", "sweep"])
-    @pytest.mark.parametrize("line", LINES)
-    def test_rejected(self, tmp_path, capsys, line, sweep):
+    @staticmethod
+    def _check_rejected(tmp_path, capsys, line, sweep, flags=()):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"rho_f = 0.2\n{line}\n")
-        argv = ["--config", str(cfg), "--out", str(tmp_path / "out")]
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "out"), *flags]
         if sweep:
             spec = tmp_path / "sweep.txt"
             spec.write_text("rho_f = 0.2\nspeeds = 10\nheadings = 300\nn_mc = 1\n")
@@ -628,6 +617,16 @@ class TestConfigsThatBreakDerive:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and line.split()[0] in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sweep", [False, True], ids=["single", "sweep"])
+    @pytest.mark.parametrize("line", LINES)
+    def test_rejected(self, tmp_path, capsys, line, sweep):
+        self._check_rejected(tmp_path, capsys, line, sweep)
+
+    @pytest.mark.parametrize("sweep", [False, True], ids=["single", "sweep"])
+    def test_negative_seed_flag(self, tmp_path, capsys, sweep):
+        """--seed -1 overrides the valid seed of the config file."""
+        self._check_rejected(tmp_path, capsys, "seed = 0", sweep, ["--seed", "-1"])
 
 
 class TestDefaultConfig:

@@ -16,7 +16,6 @@ def make_profiles(s):
     return tmc.RangeProfileSet(
         s=np.asarray(s, dtype=complex),
         axis=np.arange(np.asarray(s).shape[0], dtype=float),
-        phase_corrected=True,
     )
 
 
@@ -72,13 +71,6 @@ class TestFormImage:
         base = form_image(make_profiles(s), 128, T_SRI)
         rotated = form_image(make_profiles(s * np.exp(1j * 1.234)), 128, T_SRI)
         assert np.allclose(base.p, rotated.p, rtol=1e-12)
-
-    def test_requires_phase_corrected(self):
-        profiles = tmc.RangeProfileSet(
-            s=np.ones((2, 4), dtype=complex), axis=np.arange(2.0), phase_corrected=False
-        )
-        with pytest.raises(ConfigurationError):
-            form_image(profiles, 64, T_SRI)
 
     def test_padding_floor_enforced(self):
         with pytest.raises(ConfigurationError):
@@ -137,8 +129,8 @@ class TestMainlobeWidths:
             tgt, traj, scen, derived, frontend.ideal_sector_gain(0.0, 30.0), grid, rng,
             noise=False,
         )
-        aligned = tmc.align(gs, scen.delta_f)
-        profiles = tmc.range_profiles(aligned.gamma, derived.k_p, scen.delta_f)
+        gamma, _ = tmc.align(gs, scen.delta_f)
+        profiles = tmc.range_profiles(gamma, derived.k_p, scen.delta_f)
         cells = tmc.select_reference_cells(profiles, 1)
         corrected = tmc.apply_phase_correction(
             profiles, tmc.estimate_cpe(profiles, cells)
