@@ -14,7 +14,7 @@ from .errors import (
     SynthesisError,
 )
 from .harness import RunConfig, SimOptions, SweepSpec, load_run_config, run_sweep, run_trial, trial_seed
-from .imaging import RangeDopplerImage, attach_crossrange, form_image
+from .imaging import RangeDopplerImage, form_image
 from .metrics import (
     CropWindow,
     MetricsReport,

@@ -10,7 +10,8 @@ keeps only the rows the metrics read (the contrast crop, rows that can clear
 the detection threshold, and the minimum row) and never holds the (k_p, m_p)
 image. It gets the uncorrected profiles and the common phase error, and
 corrects each block of rows as it forms it, so the profiles are the only
-(k_p, m_s) array next to the pass. Full mode forms every row in index order.
+(k_p, m_s) array next to the pass; from the rows it keeps it builds the one
+image of the trial. Full mode forms every row in index order.
 Windowed mode (default) takes rows in descending order of their slow-time L1
 norm, which bounds each image row, and stops once the rows left are certified
 to hold neither the peak nor a survivor. Either mode holds every crop row, so
@@ -103,9 +104,9 @@ def _image_pass(
     bound=None,
 ) -> tuple[imaging.RangeDopplerImage, metrics.CropWindow, float, float]:
     """(image, crop window, contrast, centroid range) from forming ``blocks``
-    (row slices or index arrays, the crop rows first) in turn, each block
-    phase-corrected by ``cpe`` as it is formed. The image holds the kept rows
-    in index order, every crop row among them.
+    (row slices or index arrays, the crop rows first) in turn, each block of
+    profile rows phase-corrected by ``cpe`` and transformed in one call. The
+    image holds the kept rows in index order, every crop row among them.
 
     Besides the crop rows and the row holding the minimum seen so far, a row
     is kept while its peak exceeds the floor eps/2 * (max - min) seen so far,
@@ -126,8 +127,7 @@ def _image_pass(
             _certified(row, delta_lo, eps * pmax) for row in rows.values()
         ):
             break
-        chunk = tmc.apply_phase_correction(tmc.RangeProfileSet(s[part], axis[part]), cpe)
-        block = imaging.form_image(chunk, derived.m_p, scen.t_sri).p
+        block = imaging.form_image(tmc.apply_phase_correction(s[part], cpe), derived.m_p)
         ids = row_ids[part]
         row_max, row_min = block.max(axis=1), block.min(axis=1)
         low = int(np.argmin(row_min))
@@ -142,10 +142,11 @@ def _image_pass(
     rows.setdefault(*min_row)
 
     picked = sorted(rows)
-    image = imaging.attach_crossrange(imaging.RangeDopplerImage(
-        p=np.stack([rows[i] for i in picked]), range_axis=axis[picked],
-        doppler_axis=imaging.doppler_axis(derived.m_p, scen.t_sri),
-    ), snapshot, derived.wavelength)
+    doppler = imaging.doppler_axis(derived.m_p, scen.t_sri)
+    image = imaging.RangeDopplerImage(
+        p=np.stack([rows[i] for i in picked]), range_axis=axis[picked], doppler_axis=doppler,
+        crossrange_axis=imaging.crossrange_axis(doppler, snapshot, derived.wavelength),
+    )
     window = metrics.make_crop_window(
         image, snapshot.r0, options.crop_half_range, options.crop_half_crossrange
     )
@@ -178,9 +179,9 @@ def _full_image_metrics(
     scen: ScenarioConfig, snapshot: KinematicSnapshot, options: SimOptions,
 ) -> tuple[imaging.RangeDopplerImage, metrics.CropWindow, float, float]:
     """``_image_pass`` over every row, those outside the crop in index order
-    ``imaging.ROW_BLOCK`` at a time: the full image's contrast and centroid."""
+    ``tmc.ROW_BLOCK`` at a time: the full image's contrast and centroid."""
     crop = metrics.crop_rows(profiles.axis, snapshot.r0, options.crop_half_range)
-    k_p, size = profiles.s.shape[0], imaging.ROW_BLOCK
+    k_p, size = profiles.s.shape[0], tmc.ROW_BLOCK
     blocks = [crop] + [slice(i, min(i + size, stop))
                        for start, stop in ((0, crop[0]), (crop[-1] + 1, k_p))
                        for i in range(start, stop, size)]
@@ -287,11 +288,8 @@ def load_sweep_spec(path: str | None) -> SweepSpec:
 
 
 def _point_config(base_raw: dict, heading: float, speed: float, rho: float) -> RunConfig:
-    raw = dict(base_raw)
-    raw["heading_deg"] = f"{heading:.10g}"
-    raw["speed"] = f"{speed:.10g}"
-    raw["rho_f"] = f"{rho:.10g}"
-    return run_config_from_raw(raw)
+    point = {"heading_deg": heading, "speed": speed, "rho_f": rho}
+    return run_config_from_raw({**base_raw, **{k: repr(float(v)) for k, v in point.items()}})
 
 
 def _sweep_worker(args):
@@ -479,7 +477,7 @@ def main(argv=None) -> int:
             f"truth={report.truth_range:.4f} m error={report.centroid_error:+.4f} m"
         )
         return 0
-    except SimulationError as exc:
+    except (SimulationError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,30 +4,31 @@ Each range row of the phase-corrected profiles is zero-padded and transformed
 over slow time; magnitudes are kept and the Doppler axis is circularly shifted
 so zero Doppler sits at the center column. No amplitude window is applied, so
 sidelobes are rectangular-window sidelobes. The cross-range axis maps Doppler
-through the apparent rotation rate in the image plane.
+through the apparent rotation rate in the image plane. ``form_image`` works on
+arrays of rows; the caller assembles the rows it keeps, with both axes, into a
+``RangeDopplerImage``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
 from .errors import ConfigurationError, DataError, GeometryError
 from .target import KinematicSnapshot
-from .tmc import ROW_BLOCK, RangeProfileSet
 
 
 @dataclass(frozen=True)
 class RangeDopplerImage:
     """Magnitude image with range rows and zero-centered Doppler columns."""
 
-    p: np.ndarray                        # (k_p, m_p) nonnegative magnitudes
-    range_axis: np.ndarray               # (k_p,) m
-    doppler_axis: np.ndarray             # (m_p,) Hz, zero at center column
-    crossrange_axis: np.ndarray | None = None  # (m_p,) m, set when motion known
+    p: np.ndarray                # (k_p, m_p) nonnegative magnitudes
+    range_axis: np.ndarray       # (k_p,) m
+    doppler_axis: np.ndarray     # (m_p,) Hz, zero at center column
+    crossrange_axis: np.ndarray  # (m_p,) m
 
 
 def doppler_axis(m_p: int, t_sri: float) -> np.ndarray:
@@ -36,41 +37,23 @@ def doppler_axis(m_p: int, t_sri: float) -> np.ndarray:
     return (np.arange(m_p) - m_p // 2) / (m_p * t_sri)
 
 
-def doppler_rows(s: np.ndarray, m_p: int) -> np.ndarray:
-    """Image rows of slow-time samples s: the magnitude of each row's m_p-point
-    transform (zero-padded), zero Doppler circularly shifted to the center."""
+def form_image(s: np.ndarray, m_p: int) -> np.ndarray:
+    """Image rows of phase-corrected slow-time samples s (rows are range
+    bins): the magnitude of each row's m_p-point transform (zero-padded), zero
+    Doppler circularly shifted to the center column."""
+    if m_p < 10 * s.shape[1]:
+        raise ConfigurationError(f"m_p={m_p} below the 10x slow-time padding floor")
     return np.fft.fftshift(np.abs(numerics.fft(s, m_p, axis=1)), axes=1)
 
 
-def form_image(profiles: RangeProfileSet, m_p: int, t_sri: float) -> RangeDopplerImage:
-    """Doppler-process phase-corrected profiles into a magnitude image, one
-    block of rows at a time."""
-    k_p, m_s = profiles.s.shape
-    if m_p < 10 * m_s:
-        raise ConfigurationError(f"m_p={m_p} below the 10x slow-time padding floor")
-    p = np.empty((k_p, m_p), dtype=float)
-    for start in range(0, k_p, ROW_BLOCK):
-        p[start:start + ROW_BLOCK] = doppler_rows(profiles.s[start:start + ROW_BLOCK], m_p)
-    return RangeDopplerImage(
-        p=p, range_axis=profiles.axis.copy(), doppler_axis=doppler_axis(m_p, t_sri)
-    )
-
-
 def crossrange_axis(
-    image: RangeDopplerImage, snapshot: KinematicSnapshot, wavelength: float
+    doppler: np.ndarray, snapshot: KinematicSnapshot, wavelength: float
 ) -> np.ndarray:
     """Cross-range coordinate per Doppler column: u = lambda f_D / (2 w0 cos(phi)),
     with the centroid Doppler at zero after phase correction."""
     if snapshot.omega0 <= 0.0:
         raise GeometryError("cross-range axis undefined for a static target")
-    scale = wavelength / (2.0 * snapshot.omega0 * math.cos(snapshot.phi))
-    return scale * image.doppler_axis
-
-
-def attach_crossrange(
-    image: RangeDopplerImage, snapshot: KinematicSnapshot, wavelength: float
-) -> RangeDopplerImage:
-    return replace(image, crossrange_axis=crossrange_axis(image, snapshot, wavelength))
+    return wavelength / (2.0 * snapshot.omega0 * math.cos(snapshot.phi)) * doppler
 
 
 def export_csv(image: RangeDopplerImage, path: str, rows, cols) -> None:

@@ -43,8 +43,6 @@ def make_crop_window(
     half_crossrange: float,
 ) -> CropWindow:
     """Resolve a physical crop (range x cross-range) into index sets."""
-    if image.crossrange_axis is None:
-        raise ConfigurationError("crop window needs a cross-range axis")
     rows = crop_rows(image.range_axis, center_range, half_range)
     cols = np.flatnonzero(np.abs(image.crossrange_axis) <= half_crossrange)
     if cols.size == 0:

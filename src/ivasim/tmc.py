@@ -50,8 +50,8 @@ class AlignmentResult:
 @dataclass(frozen=True)
 class RangeProfileSet:
     """Range profiles: rows are range bins, columns slow time. They carry no
-    correction state; the holder of the common phase error corrects them
-    (``apply_phase_correction``), in a trial one formed block at a time."""
+    correction state: in a trial the image pass phase-corrects each block of
+    rows of ``s`` it forms (``apply_phase_correction``)."""
 
     s: np.ndarray                  # (k_p, m_s) complex
     axis: np.ndarray               # (k_p,) range per bin, m
@@ -250,9 +250,9 @@ def estimate_cpe(profiles: RangeProfileSet, cells: np.ndarray) -> np.ndarray:
     return diffs.mean(axis=0) + numerics.unwrap_phase(ref)
 
 
-def apply_phase_correction(profiles: RangeProfileSet, cpe: np.ndarray) -> RangeProfileSet:
-    """Element-wise phase correction s[n, m] * exp(-i cpe[m]) for all cells."""
+def apply_phase_correction(s: np.ndarray, cpe: np.ndarray) -> np.ndarray:
+    """Element-wise phase correction s[n, m] * exp(-i cpe[m]) of profile rows s."""
     cpe = np.asarray(cpe, dtype=float)
-    if cpe.shape != (profiles.s.shape[1],):
+    if cpe.shape != (s.shape[1],):
         raise ConfigurationError("one phase-correction value per symbol required")
-    return RangeProfileSet(s=profiles.s * np.exp(-1j * cpe)[None, :], axis=profiles.axis)
+    return s * np.exp(-1j * cpe)[None, :]

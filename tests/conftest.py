@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ivasim import frontend, harness, scenario, target, tmc
+from ivasim import frontend, harness, imaging, scenario, target, tmc
 
 
 def run_pipeline(overrides, seed=0):
@@ -20,7 +20,7 @@ def run_pipeline(overrides, seed=0):
     profiles = tmc.range_profiles(gamma, derived.k_p, scen.delta_f)
     cells = tmc.select_reference_cells(profiles, scen.n_ref, cfg.options.cell_gate)
     cpe = tmc.estimate_cpe(profiles, cells)
-    corrected = tmc.apply_phase_correction(profiles, cpe)
+    corrected = tmc.RangeProfileSet(tmc.apply_phase_correction(profiles.s, cpe), profiles.axis)
     return {
         "cfg": cfg,
         "scenario": scen,
@@ -33,6 +33,20 @@ def run_pipeline(overrides, seed=0):
         "cpe": cpe,
         "corrected": corrected,
     }
+
+
+def whole_image(run):
+    """The (k_p, m_p) image of a run's corrected profiles with its range,
+    Doppler and cross-range axes, formed tmc.ROW_BLOCK rows at a time."""
+    scen, derived, corrected = run["scenario"], run["derived"], run["corrected"]
+    p = np.empty((corrected.s.shape[0], derived.m_p))
+    for i in range(0, p.shape[0], tmc.ROW_BLOCK):
+        p[i:i + tmc.ROW_BLOCK] = imaging.form_image(corrected.s[i:i + tmc.ROW_BLOCK], derived.m_p)
+    doppler = imaging.doppler_axis(derived.m_p, scen.t_sri)
+    return imaging.RangeDopplerImage(
+        p=p, range_axis=corrected.axis, doppler_axis=doppler,
+        crossrange_axis=imaging.crossrange_axis(doppler, run["snapshot"], derived.wavelength),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ tens of minutes for the whole module on a 2-core machine.
 import numpy as np
 import pytest
 
-from conftest import run_pipeline
+from conftest import run_pipeline, whole_image
 from ivasim import frontend, harness, imaging, metrics, scenario, target, tmc
 from ivasim.numerics import fft, unwrap_phase
 from ivasim.scenario import C_LIGHT, ScenarioConfig, derive
@@ -94,9 +94,9 @@ def test_criterion_3_single_scatterer_localization():
     gamma, _ = tmc.align(gs, scen.delta_f)
     profiles = tmc.range_profiles(gamma, derived.k_p, scen.delta_f)
     cells = tmc.select_reference_cells(profiles, 1)
-    corrected = tmc.apply_phase_correction(profiles, tmc.estimate_cpe(profiles, cells))
-    image = imaging.form_image(corrected, derived.m_p, scen.t_sri)
-    row, col = np.unravel_index(np.argmax(image.p), image.p.shape)
+    corrected = tmc.apply_phase_correction(profiles.s, tmc.estimate_cpe(profiles, cells))
+    p = imaging.form_image(corrected, derived.m_p)
+    row, col = np.unravel_index(np.argmax(p), p.shape)
     r_true = target.exact_range(traj.bs_position, (60.0, 5.0, 1.6))
     want_row = round(r_true / derived.range_bin_m)
     ok = abs(row - want_row) < 1 and col == derived.m_p // 2
@@ -178,9 +178,8 @@ def test_criterion_5_five_scatterer_geometry():
     cross-range offset of a few tenths of a meter.)
     """
     run = run_pipeline({"heading_deg": 270.0, "speed": 30.0, "noise": "off"})
-    scen, derived, snap = run["scenario"], run["derived"], run["snapshot"]
-    image = imaging.form_image(run["corrected"], derived.m_p, scen.t_sri)
-    image = imaging.attach_crossrange(image, snap, derived.wavelength)
+    derived, snap = run["derived"], run["snapshot"]
+    image = whole_image(run)
     window = metrics.make_crop_window(image, snap.r0, 6.0, 4.0)
     crop = image.p[np.ix_(window.rows, window.cols)]
 

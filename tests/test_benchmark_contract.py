@@ -2,8 +2,9 @@
 
 perfbench wraps the module functions named in ``perfbench/spans.py``
 ``LAYER_FUNCS`` and drives sweeps through ``harness._sweep_worker`` jobs. Its
-own self-tests are outside the default test paths, so these checks keep a
-refactor of ivasim from silently breaking it. The file is read, not imported.
+own self-tests (``perfbench/test_perfbench.py``, in the default test paths
+too) check its measurements; these checks name what it needs of ivasim, so a
+refactor of ivasim cannot silently break it. The file is read, not imported.
 """
 
 import ast

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import run_pipeline
+from conftest import run_pipeline, whole_image
 from ivasim import frontend, harness, imaging, metrics, scenario, target, tmc
 from ivasim.errors import ConfigurationError, DataError, GeometryError
 from ivasim.harness import (
@@ -133,16 +133,18 @@ class TestRunTrial:
     def test_zero_mean_crop_rejected_in_both_modes(self, seed, **overrides):
         cfg = load_run_config(overrides=fast_raw(**overrides))
         r0 = target.centroid_kinematics(cfg.target, cfg.traj, cfg.scenario).r0
-        correct = tmc.apply_phase_correction
 
-        def crop_zeroed(profiles, cpe):
-            # called on each block of rows the image pass forms
-            out = correct(profiles, cpe)
-            out.s[np.abs(out.axis - r0) <= cfg.options.crop_half_range] = 0.0
-            return out
+        def crop_zeroed(evaluate):
+            # hands the evaluator profiles whose crop rows are all zero
+            def zeroed(profiles, *args):
+                s = profiles.s.copy()
+                s[np.abs(profiles.axis - r0) <= cfg.options.crop_half_range] = 0.0
+                return evaluate(tmc.RangeProfileSet(s, profiles.axis), *args)
+            return zeroed
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tmc, "apply_phase_correction", crop_zeroed)
+            for name in ("_windowed_image_metrics", "_full_image_metrics"):
+                mp.setattr(harness, name, crop_zeroed(getattr(harness, name)))
             for mode in ("windowed", "full"):
                 with pytest.raises(DataError, match="zero-mean crop"):
                     self._trial(mode, seed, **overrides)
@@ -248,6 +250,19 @@ class TestSweep:
         assert summary[point]["n_ok"] == 0
         rmse_row = (tmp_path / "rmse_vs_rhof.csv").read_text().strip().splitlines()[2]
         assert rmse_row.split(",")[3] == "0" and rmse_row.split(",")[4] == "2"
+
+    @settings(max_examples=20, deadline=None)
+    @given(heading=st.sampled_from([270.0, 300.0]), speed=st.floats(5.0, 40.0),
+           rho=st.sampled_from([0.5, 1.0]))
+    @example(heading=270.0, speed=30.000000000001, rho=1.0)
+    def test_sweep_trial_equals_run_trial(self, heading, speed, rho):
+        """A sweep job runs the trial of its point's exact values: its ic and
+        r_hat equal those of run_trial on the same heading, speed and rho_f."""
+        _, _, report, error = harness._sweep_worker((fast_raw(), 5, 0, (heading, speed, rho), 0))
+        cfg = load_run_config(overrides=fast_raw(heading_deg=heading, speed=speed, rho_f=rho))
+        single = run_trial(cfg, trial_seed(5, 0, 0))
+        assert error is None
+        assert (report.ic, report.centroid_range_est) == (single.ic, single.centroid_range_est)
 
     def test_ic_file_restricted_to_300(self, tmp_path):
         spec = SweepSpec(rho_f=(1.0,), speeds=(30.0,), headings=(270.0, 300.0), n_mc=1)
@@ -371,27 +386,43 @@ class TestWindowedFallback:
                 moment_total += w * float(profiles.axis[idx])
         return ic, moment_total / weight_total
 
-    @pytest.mark.parametrize("noise", ["on", "off"])
-    def test_forced_fallback_matches_all_rows(self, monkeypatch, noise):
-        run = run_pipeline({"k": 2640, "m_s": 48, "noise": noise}, seed=2)
+    def _forced_fallback(self, run, trace=False):
+        """Check that the windowed pass with certification refused forms every
+        row and gives the all-rows (ic, r_hat); return its tracemalloc peak
+        when ``trace``."""
         args = (run["derived"], run["scenario"], run["snapshot"], run["cfg"].options)
-        calls = []
+        form, formed = imaging.form_image, []
 
-        def uncertified(*a):
-            calls.append(a)
-            return False
+        def counted(s, m_p):
+            formed.append(s.shape[0])
+            return form(s, m_p)
 
-        monkeypatch.setattr(harness, "_certified", uncertified)
-        tracemalloc.start()
-        try:
-            got = harness._windowed_image_metrics(run["profiles"], run["cpe"], *args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert calls, "certification was not consulted"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_certified", lambda *a: False)
+            mp.setattr(imaging, "form_image", counted)
+            if trace:
+                tracemalloc.start()
+            try:
+                got = harness._windowed_image_metrics(run["profiles"], run["cpe"], *args)
+                peak = tracemalloc.get_traced_memory()[1] if trace else None
+            finally:
+                tracemalloc.stop()
+        assert sum(formed) == run["derived"].k_p
         assert got[2:] == self._all_rows_reference(run["corrected"], *args)
+        return peak
+
+    @settings(max_examples=30, deadline=None)
+    @given(**TestRunTrial.SCENARIOS)
+    def test_forced_fallback_equals_all_rows_property(self, seed, **overrides):
+        self._forced_fallback(run_pipeline(fast_raw(**overrides), seed))
+
+    @pytest.mark.parametrize("noise", ["on", "off"])
+    def test_forced_fallback_matches_all_rows(self, noise):
+        """The property at k=2640, where the pass also stays under a quarter
+        of the image's bytes."""
+        run = run_pipeline({"k": 2640, "m_s": 48, "noise": noise}, seed=2)
         k_p, m_p = run["derived"].k_p, run["derived"].m_p
-        assert peak < k_p * m_p * 8 / 4
+        assert self._forced_fallback(run, trace=True) < k_p * m_p * 8 / 4
 
 
 class TestFullImageStream:
@@ -400,20 +431,13 @@ class TestFullImageStream:
 
     @staticmethod
     def _whole_image_reference(run):
-        """form_image over all rows, then contrast and the thresholded
-        centroid over the whole image."""
-        scen, derived, snapshot = run["scenario"], run["derived"], run["snapshot"]
-        options = run["cfg"].options
-        image = imaging.attach_crossrange(
-            imaging.form_image(run["corrected"], derived.m_p, scen.t_sri),
-            snapshot,
-            derived.wavelength,
-        )
+        """Contrast and the thresholded centroid over the whole image."""
+        image, snapshot, options = whole_image(run), run["snapshot"], run["cfg"].options
         window = metrics.make_crop_window(
             image, snapshot.r0, options.crop_half_range, options.crop_half_crossrange
         )
         ic = metrics.image_contrast(image, window)
-        return ic, metrics.centroid_range(metrics.threshold_image(image, scen.epsilon))
+        return ic, metrics.centroid_range(metrics.threshold_image(image, run["scenario"].epsilon))
 
     @staticmethod
     def _args(run):
@@ -471,7 +495,7 @@ class TestFullImageStream:
         values[:200] = 0.1
         values[in_crop] = 0.05
         values[-10:] = 1.0
-        assert not in_crop[-10:].any() and run["derived"].k_p > 2 * imaging.ROW_BLOCK
+        assert not in_crop[-10:].any() and run["derived"].k_p > 2 * tmc.ROW_BLOCK
         run = self._constant_rows(run, values)
         image, _, ic, r_hat = harness._full_image_metrics(*self._args(run))
         assert (ic, r_hat) == self._whole_image_reference(run)
@@ -521,6 +545,22 @@ class TestCliRejectsBadInput:
         assert code == 1
         assert "--workers must be >= 1" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("workers", [None, "1", "2"], ids=["single", "sweep1", "sweep2"])
+    def test_memory_refused_ends_in_error_line(self, tmp_path, capsys, workers):
+        """k = 1e12 asks numpy for a QPSK grid of hundreds of TiB, more than
+        the address space, so the request is refused before anything is
+        allocated; the CLI prints an error line and exits 1."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rho_f = 0.2\nk = 1000000000000\n")
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "out")]
+        if workers:
+            sweep = tmp_path / "sweep.txt"
+            sweep.write_text("rho_f = 0.2\nspeeds = 10\nheadings = 300\nn_mc = 1\n")
+            argv += ["--sweep", str(sweep), "--workers", workers]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "line, key", [("n_mc = 2.5", "n_mc"), ("speeds = 10 x", "speeds")]

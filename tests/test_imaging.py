@@ -5,18 +5,13 @@ import pytest
 
 from ivasim import frontend, target, tmc
 from ivasim.errors import ConfigurationError, GeometryError
-from ivasim.imaging import attach_crossrange, crossrange_axis, export_csv, export_pgm, form_image
+from ivasim.imaging import (
+    RangeDopplerImage, crossrange_axis, doppler_axis, export_csv, export_pgm, form_image,
+)
 from ivasim.scenario import ScenarioConfig, derive
 from ivasim.target import ExtendedTarget, TrajectoryState, centroid_kinematics, default_vehicle
 
 T_SRI = 1e-3
-
-
-def make_profiles(s):
-    return tmc.RangeProfileSet(
-        s=np.asarray(s, dtype=complex),
-        axis=np.arange(np.asarray(s).shape[0], dtype=float),
-    )
 
 
 def naive_dft_mag(x, n):
@@ -31,12 +26,12 @@ class TestFormImage:
         m_s, m_p = 12, 128
         s = np.zeros((4, m_s), dtype=complex)
         s[2] = 3.0
-        image = form_image(make_profiles(s), m_p, T_SRI)
-        assert image.p.shape == (4, m_p)
-        peak = np.unravel_index(np.argmax(image.p), image.p.shape)
+        p = form_image(s, m_p)
+        assert p.shape == (4, m_p)
+        peak = np.unravel_index(np.argmax(p), p.shape)
         assert peak == (2, m_p // 2)
-        assert image.p[2, m_p // 2] == pytest.approx(m_s * 3.0)
-        assert image.doppler_axis[m_p // 2] == 0.0
+        assert p[2, m_p // 2] == pytest.approx(m_s * 3.0)
+        assert doppler_axis(m_p, T_SRI)[m_p // 2] == 0.0
 
     def test_tone_row_peaks_at_tone_frequency(self):
         m_s, m_p = 16, 256
@@ -45,36 +40,34 @@ class TestFormImage:
         for j in (-3, 1, 5):
             f = j * delta_fd
             row = np.exp(2j * np.pi * f * m * T_SRI)
-            image = form_image(make_profiles(row[None, :]), m_p, T_SRI)
-            got_col = int(np.argmax(image.p[0]))
-            want_col = int(np.argmin(np.abs(image.doppler_axis - f)))
+            p = form_image(row[None, :], m_p)
+            got_col = int(np.argmax(p[0]))
+            want_col = int(np.argmin(np.abs(doppler_axis(m_p, T_SRI) - f)))
             assert got_col == want_col
             # cross-check the whole row against a brute-force DFT
-            assert np.allclose(image.p[0], naive_dft_mag(row, m_p), atol=1e-9)
+            assert np.allclose(p[0], naive_dft_mag(row, m_p), atol=1e-9)
 
     def test_all_zero_profiles(self):
-        image = form_image(make_profiles(np.zeros((3, 8))), 128, T_SRI)
-        assert not image.p.any()
+        assert not form_image(np.zeros((3, 8), dtype=complex), 128).any()
 
     def test_energy_parseval(self):
         rng = np.random.default_rng(0)
         s = rng.standard_normal((6, 20)) + 1j * rng.standard_normal((6, 20))
         m_p = 256
-        image = form_image(make_profiles(s), m_p, T_SRI)
-        lhs = np.sum(image.p**2)
+        lhs = np.sum(form_image(s, m_p) ** 2)
         rhs = m_p * np.sum(np.abs(s) ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-6)
 
     def test_global_phase_invariance(self):
         rng = np.random.default_rng(1)
         s = rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10))
-        base = form_image(make_profiles(s), 128, T_SRI)
-        rotated = form_image(make_profiles(s * np.exp(1j * 1.234)), 128, T_SRI)
-        assert np.allclose(base.p, rotated.p, rtol=1e-12)
+        base = form_image(s, 128)
+        rotated = form_image(s * np.exp(1j * 1.234), 128)
+        assert np.allclose(base, rotated, rtol=1e-12)
 
     def test_padding_floor_enforced(self):
         with pytest.raises(ConfigurationError):
-            form_image(make_profiles(np.ones((2, 16))), 64, T_SRI)  # 64 < 160
+            form_image(np.ones((2, 16), dtype=complex), 64)  # 64 < 160
 
 
 class TestCrossrangeAxis:
@@ -85,23 +78,22 @@ class TestCrossrangeAxis:
 
     def test_zero_doppler_maps_to_zero(self):
         scen, snap = self._snapshot()
-        image = form_image(make_profiles(np.ones((2, 8))), 128, scen.t_sri)
-        u = crossrange_axis(image, snap, derive(scen).wavelength)
+        u = crossrange_axis(doppler_axis(128, scen.t_sri), snap, derive(scen).wavelength)
         assert u[128 // 2] == 0.0
 
     def test_one_resolution_cell(self):
         # a Doppler offset of one resolution cell maps to one cross-range cell
         scen, snap = self._snapshot()
         derived = derive(scen)
-        image = form_image(make_profiles(np.ones((2, scen.m_s))), derived.m_p, scen.t_sri)
-        u = crossrange_axis(image, snap, derived.wavelength)
+        doppler = doppler_axis(derived.m_p, scen.t_sri)
+        u = crossrange_axis(doppler, snap, derived.wavelength)
         du = target.cross_range_resolution(snap, derived)
         scale = u[1] - u[0]
         assert scale * derived.delta_fd * derived.m_p * scen.t_sri == pytest.approx(
             du, rel=1e-9
         )
         assert np.allclose(
-            u, image.doppler_axis * du / derived.delta_fd, rtol=1e-9
+            u, doppler * du / derived.delta_fd, rtol=1e-9
         )
 
     def test_static_target_rejected(self):
@@ -109,9 +101,8 @@ class TestCrossrangeAxis:
         snap = centroid_kinematics(
             default_vehicle(), TrajectoryState(speed=0.0), scen
         )
-        image = form_image(make_profiles(np.ones((2, 8))), 128, scen.t_sri)
         with pytest.raises(GeometryError):
-            crossrange_axis(image, snap, derive(scen).wavelength)
+            crossrange_axis(doppler_axis(128, scen.t_sri), snap, derive(scen).wavelength)
 
 
 class TestMainlobeWidths:
@@ -133,18 +124,18 @@ class TestMainlobeWidths:
         profiles = tmc.range_profiles(gamma, derived.k_p, scen.delta_f)
         cells = tmc.select_reference_cells(profiles, 1)
         corrected = tmc.apply_phase_correction(
-            profiles, tmc.estimate_cpe(profiles, cells)
+            profiles.s, tmc.estimate_cpe(profiles, cells)
         )
-        image = form_image(corrected, derived.m_p, scen.t_sri)
+        p = form_image(corrected, derived.m_p)
 
         def width_3db(values, axis_step):
             peak = values.max()
             above = np.flatnonzero(values >= peak / np.sqrt(2))
             return (above[-1] - above[0] + 1) * axis_step
 
-        row, col = np.unravel_index(np.argmax(image.p), image.p.shape)
-        range_width = width_3db(image.p[:, col], derived.range_bin_m)
-        doppler_width = width_3db(image.p[row, :], 1.0 / (derived.m_p * scen.t_sri))
+        row, col = np.unravel_index(np.argmax(p), p.shape)
+        range_width = width_3db(p[:, col], derived.range_bin_m)
+        doppler_width = width_3db(p[row, :], 1.0 / (derived.m_p * scen.t_sri))
         crossrange_width = doppler_width * derived.wavelength / (
             2 * snap.omega0 * np.cos(snap.phi)
         )
@@ -158,12 +149,15 @@ class TestExports:
     def _image(self):
         s = np.zeros((8, 12), dtype=complex)
         s[3] = 2.0
-        image = form_image(make_profiles(s), 128, T_SRI)
         scen = ScenarioConfig()
         snap = centroid_kinematics(
             default_vehicle(), TrajectoryState(heading_deg=270.0, speed=30.0), scen
         )
-        return attach_crossrange(image, snap, derive(scen).wavelength)
+        doppler = doppler_axis(128, T_SRI)
+        return RangeDopplerImage(
+            p=form_image(s, 128), range_axis=np.arange(8, dtype=float), doppler_axis=doppler,
+            crossrange_axis=crossrange_axis(doppler, snap, derive(scen).wavelength),
+        )
 
     def test_pgm_format(self, tmp_path):
         image = self._image()
