@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import numerics
 from .errors import ConfigurationError, GeometryError, SynthesisError
 from .scenario import C_LIGHT, DerivedParams, ScenarioConfig
 from .target import ExtendedTarget, TrajectoryState, scatterer_positions
@@ -157,8 +158,24 @@ def qpsk_grid(k_s: int, m_s: int, rng: np.random.Generator) -> np.ndarray:
     return _QPSK_POINTS[rng.integers(0, 4, (k_s, m_s))]
 
 
-# exp(i a k) for k = j*B + b is exp(i a j B) * exp(i a b): two small tables per scatterer.
-_RAMP_BLOCK = 128
+def echo_geometry(
+    target: ExtendedTarget, traj: TrajectoryState, scenario: ScenarioConfig
+) -> tuple[np.ndarray, ...]:
+    """(L, m_s) azimuths, radar-equation amplitudes, carrier phases and subcarrier
+    phase rates of the echoes over the CPI; a GeometryError if any overflows."""
+    with np.errstate(all="ignore"):  # an overflow is reported below
+        pos = scatterer_positions(target, traj, scenario, np.arange(scenario.m_s))
+        rel = pos - np.asarray(traj.bs_position, dtype=float)  # (L, m_s, 3)
+        ranges = np.linalg.norm(rel, axis=2)
+        g_t, g_r = 10.0 ** (scenario.g_t_dbi / 10.0), 10.0 ** (scenario.g_r_dbi / 10.0)
+        amps = channel_gain(ranges, np.asarray(target.rcs)[:, None], scenario.f_c, g_t, g_r)
+        carrier = -4.0 * np.pi * scenario.f_c * ranges / C_LIGHT
+        rates = -4.0 * np.pi * scenario.delta_f * ranges / C_LIGHT
+    if not all(np.isfinite(x).all() for x in (ranges, amps, carrier, rates)):
+        raise GeometryError(f"echo geometry overflows with f_c={scenario.f_c}, bs_x/bs_y/bs_z="
+                            f"{traj.bs_position}, midpoint_x/midpoint_y={traj.midpoint}, "
+                            f"z_c={traj.z_c}, speed={traj.speed}")
+    return np.arctan2(rel[:, :, 1], rel[:, :, 0]), amps, carrier, rates
 
 
 def sensing_matrix(
@@ -193,29 +210,17 @@ def sensing_matrix(
         if scatter_phases.shape != (target.count,):
             raise ConfigurationError("need one scattering phase per scatterer")
 
-    # geometry over the whole CPI: (L, m_s) ranges and azimuths
-    pos = scatterer_positions(target, traj, scenario, np.arange(m_s))  # (L, m_s, 3)
-    rel = pos - np.asarray(traj.bs_position, dtype=float)
-    ranges = np.linalg.norm(rel, axis=2)                        # (L, m_s)
-    azimuths = np.arctan2(rel[:, :, 1], rel[:, :, 0])
-
-    g_t = 10.0 ** (scenario.g_t_dbi / 10.0)
-    g_r = 10.0 ** (scenario.g_r_dbi / 10.0)
-    amps = channel_gain(ranges, np.asarray(target.rcs)[:, None], scenario.f_c, g_t, g_r)
-    phase0 = -4.0 * np.pi * scenario.f_c * ranges / C_LIGHT + scatter_phases[:, None]
-    weight = amps * np.exp(1j * phase0) * gain(azimuths)        # (L, m_s)
-
-    rates = -4.0 * np.pi * scenario.delta_f * ranges / C_LIGHT  # (L, m_s)
-    blocks = [slice(j, j + _RAMP_BLOCK) for j in range(0, k_s, _RAMP_BLOCK)]
-    lo = np.exp(1j * (np.arange(_RAMP_BLOCK)[:, None] * rates[:, None, :]))  # (L, B, m_s)
-    hi = np.exp(1j * (np.arange(0, k_s, _RAMP_BLOCK)[:, None] * rates[:, None, :]))
+    azimuths, amps, carrier, rates = echo_geometry(target, traj, scenario)
+    weight = amps * np.exp(1j * (carrier + scatter_phases[:, None])) * gain(azimuths)
+    blocks = [slice(j, j + numerics.RAMP_BLOCK) for j in range(0, k_s, numerics.RAMP_BLOCK)]
+    lo, hi = numerics.ramp_tables(rates, k_s)  # (L, B, m_s), (L, len(blocks), m_s)
     if noise:
         scale = np.sqrt(derived.sigma2 / 2.0)
         re = rng.standard_normal((k_s, m_s))
         im = rng.standard_normal((k_s, m_s))
 
     gs = np.zeros((k_s, m_s), dtype=complex)
-    part = np.empty((_RAMP_BLOCK, m_s), dtype=complex)
+    part = np.empty((numerics.RAMP_BLOCK, m_s), dtype=complex)
     for j, rows in enumerate(blocks):
         echo = gs[rows]
         ramp = part[: echo.shape[0]]

@@ -58,9 +58,10 @@ class RunConfig:
 
 
 def run_config_from_raw(raw: dict) -> RunConfig:
-    """Assemble the full run configuration from parsed key=value pairs."""
+    """Assemble the full run configuration from parsed key=value pairs, and
+    reject it if its echo geometry overflows (``frontend.echo_geometry``)."""
     values = scenario.read_values(raw)
-    return RunConfig(
+    cfg = RunConfig(
         scenario=scenario.scenario_from_raw(raw),
         target=(
             ExtendedTarget(*values["scatterers"])
@@ -70,6 +71,8 @@ def run_config_from_raw(raw: dict) -> RunConfig:
         traj=target.trajectory_from_values(values),
         options=SimOptions(**scenario.field_values(SimOptions, values)),
     )
+    frontend.echo_geometry(cfg.target, cfg.traj, cfg.scenario)
+    return cfg
 
 
 def load_run_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
@@ -317,6 +320,7 @@ def _git_revision() -> str:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True,
             text=True,
             timeout=5,

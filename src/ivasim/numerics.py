@@ -58,6 +58,19 @@ def fft(x: np.ndarray, n: int, axis: int = -1, out: np.ndarray | None = None) ->
     return np.fft.fft(x, n=n, axis=axis, out=out)
 
 
+# exp(i a k) for k = j*B + b is exp(i a j B) * exp(i a b): two small tables.
+RAMP_BLOCK = 128
+
+
+def ramp_tables(rates: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tables of exp(i k rates) over k = 0..n-1 for rates of shape (..., m):
+    lo (..., B, m) over k = 0..B-1 and hi (..., ceil(n/B), m) over k = 0, B,
+    2B, ..., with B = RAMP_BLOCK; row k is hi[..., k // B, :] * lo[..., k % B, :]."""
+    lo = np.exp(1j * (np.arange(RAMP_BLOCK)[:, None] * rates[..., None, :]))
+    hi = np.exp(1j * (np.arange(0, n, RAMP_BLOCK)[:, None] * rates[..., None, :]))
+    return lo, hi
+
+
 def next_pow2(n: int) -> int:
     """Smallest power of two >= n."""
     if n < 1:

@@ -212,21 +212,3 @@ def cross_range_resolution(snapshot: KinematicSnapshot, derived: DerivedParams) 
         2.0 * snapshot.omega0 * math.cos(snapshot.phi)
     )
 
-
-def range_drift_terms(
-    snapshot: KinematicSnapshot,
-    scatterer_local: np.ndarray,
-    m_offset: float,
-    t_sri: float,
-) -> tuple[float, float]:
-    """Range walk and curvature of one scatterer, m_offset symbols after the
-    snapshot epoch. Used to confirm the migration-free regime (drift < range
-    resolution over the CPI)."""
-    x, y = float(scatterer_local[0]), float(scatterer_local[1])
-    cpsi, spsi = math.cos(snapshot.psi0), math.sin(snapshot.psi0)
-    cphi = math.cos(snapshot.phi)
-    dt = m_offset * t_sri
-    walk = (-x * spsi - y * cpsi) * snapshot.omega0 * dt * cphi
-    curv = (-x * cpsi + y * spsi) * 0.5 * (snapshot.omega0 * dt) ** 2 * cphi
-    return walk, curv
-

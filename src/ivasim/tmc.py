@@ -126,13 +126,10 @@ def regularize_shifts(raw_shifts: np.ndarray, k_s: int) -> tuple[np.ndarray, Qua
 
 def compensate_delays(gs: np.ndarray, delays: np.ndarray, delta_f: float) -> np.ndarray:
     """Apply the per-symbol delay compensation phase ramp across subcarriers:
-    gamma[k, m] = gs[k, m] * exp(i 2 pi k delta_f tau[m]), ROW_BLOCK
-    subcarriers at a time into one output.
-
-    The product is taken as ramp * gs: complex multiply uses FMA and is not
-    bitwise commutative, and this order reproduces the whole-grid expression
-    gs * exp(...) (kept in tests/test_bit_identity.py), which numpy evaluates
-    as exp * gs on grids of 256 KiB and up by reusing the exp temporary.
+    gamma[k, m] = gs[k, m] * exp(i 2 pi k delta_f tau[m]). The ramp comes from
+    the two tables of ``numerics.ramp_tables``, one block of subcarriers at a
+    time; it is within a few ulp of the direct exp (checked in
+    tests/test_bit_identity.py against an extended-precision reference).
     """
     gs = np.asarray(gs)
     delays = np.asarray(delays, dtype=float)
@@ -140,12 +137,13 @@ def compensate_delays(gs: np.ndarray, delays: np.ndarray, delta_f: float) -> np.
         raise DataError("non-finite delays")
     if delays.shape != (gs.shape[1],):
         raise ConfigurationError("one delay per slow-time column required")
-    k = np.arange(gs.shape[0])
+    lo, hi = numerics.ramp_tables(2.0 * np.pi * delta_f * delays, gs.shape[0])
     gamma = np.empty(gs.shape, dtype=np.result_type(gs, 1j))
-    for start in range(0, k.size, ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        ramp = np.exp(1j * 2.0 * np.pi * delta_f * np.outer(k[rows], delays))
-        np.multiply(ramp, gs[rows], out=gamma[rows])
+    for j, top in enumerate(hi):
+        rows = slice(j * numerics.RAMP_BLOCK, (j + 1) * numerics.RAMP_BLOCK)
+        out = gamma[rows]
+        np.multiply(top, lo[: out.shape[0]], out=out)
+        np.multiply(out, gs[rows], out=out)
     return gamma
 
 

@@ -1,7 +1,9 @@
 """Trial orchestration: determinism, sweeps, CLI, config assembly."""
 
 import math
+import subprocess
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -221,6 +223,23 @@ class TestSweep:
         assert len(ic_lines) == 3  # comment, header, one row
         assert len(rmse_lines) == 3
         assert ic_lines[2].startswith("1,30,1,0,")
+
+    def test_header_revision_of_the_package_checkout(self, tmp_path, monkeypatch):
+        """The header's git= field names the revision of the checkout holding
+        the package, wherever the sweep is started."""
+        package = Path(harness.__file__).parent
+        try:
+            rev = subprocess.run(["git", "-C", str(package), "rev-parse", "--short", "HEAD"],
+                                 capture_output=True, text=True, timeout=5).stdout.strip()
+        except OSError:
+            rev = ""
+        if not rev:
+            pytest.skip("the package is not in a git checkout")
+        monkeypatch.chdir(tmp_path)
+        spec = SweepSpec(rho_f=(1.0,), speeds=(30.0,), headings=(300.0,), n_mc=1)
+        run_sweep(fast_raw(), spec, master_seed=0, out_dir="out")
+        header = (tmp_path / "out" / "ic_mean_vs_rhof.csv").read_text().splitlines()[0]
+        assert header.endswith(f" git={rev}")
 
     def test_rerun_byte_identical(self, tmp_path):
         spec = SweepSpec(rho_f=(0.5, 1.0), speeds=(30.0,), headings=(300.0,), n_mc=2)
@@ -667,6 +686,34 @@ class TestConfigsThatBreakDerive:
     def test_negative_seed_flag(self, tmp_path, capsys, sweep):
         """--seed -1 overrides the valid seed of the config file."""
         self._check_rejected(tmp_path, capsys, "seed = 0", sweep, ["--seed", "-1"])
+
+
+@pytest.mark.usefixtures("no_trials")
+class TestGeometryThatOverflows:
+    """Finite geometry values whose echo ranges, amplitudes or phases overflow
+    float64 end in a GeometryError that names the key, before any trial runs
+    and before numpy warns, in single mode and in sweeps. A sweep takes the
+    speed from its own list, so there the speed is set in the sweep file."""
+
+    @pytest.mark.parametrize("workers", [0, 1, 2], ids=["single", "sweep1", "sweep2"])
+    @pytest.mark.parametrize("line", ["f_c = 1e-300", "bs_z = 1e300", "speed = 1e300"])
+    def test_rejected(self, tmp_path, capsys, line, workers):
+        key, _, value = line.split()
+        in_spec = workers and key == "speed"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rho_f = 0.2\n" + ("" if in_spec else f"{line}\n"))
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "out")]
+        if workers:
+            spec = tmp_path / "sweep.txt"
+            speeds = value if in_spec else "10"
+            spec.write_text(f"rho_f = 0.2\nspeeds = {speeds}\nheadings = 300\nn_mc = 1\n")
+            argv += ["--sweep", str(spec), "--workers", str(workers)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: echo geometry overflows") and key in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
 class TestDefaultConfig:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ivasim.errors import ConfigurationError, DataError
-from ivasim.numerics import fft, next_pow2, quadratic_ls_fit, unwrap_phase
+from ivasim.numerics import RAMP_BLOCK, fft, next_pow2, quadratic_ls_fit, ramp_tables, unwrap_phase
 
 
 def naive_dft(x, n):
@@ -73,6 +73,23 @@ class TestNextPow2:
         assert next_pow2(2 * 13200) == 32768
         assert next_pow2(2048) == 2048
         assert next_pow2(2049) == 4096
+
+
+class TestRampTables:
+    def test_shapes_and_partial_last_block(self):
+        rates = np.random.default_rng(5).uniform(-0.1, 0.1, (2, 3, 7))  # (..., m)
+        n = 2 * RAMP_BLOCK + 80  # the last block holds 80 of its 128 rows
+        lo, hi = ramp_tables(rates, n)
+        assert lo.shape == (2, 3, RAMP_BLOCK, 7) and hi.shape == (2, 3, 3, 7)
+        k = np.arange(n)
+        rows = hi[..., k // RAMP_BLOCK, :] * lo[..., k % RAMP_BLOCK, :]
+        assert np.allclose(rows, np.exp(1j * k[:, None] * rates[..., None, :]), rtol=0, atol=1e-13)
+        assert np.array_equal(hi[..., 2, :], np.exp(1j * (2 * RAMP_BLOCK * rates)))
+
+    def test_fewer_rows_than_one_block(self):
+        lo, hi = ramp_tables(np.array([0.3, -0.2]), 40)
+        assert lo.shape == (RAMP_BLOCK, 2) and hi.shape == (1, 2)
+        assert np.array_equal(hi, np.ones((1, 2), dtype=complex))
 
 
 class TestUnwrap:

@@ -15,11 +15,23 @@ from ivasim.target import (
     cross_range_resolution,
     default_vehicle,
     exact_range,
-    range_drift_terms,
     reference_index,
     scatterer_positions,
     slow_time,
 )
+
+
+def range_drift_terms(snapshot, scatterer_local, m_offset, t_sri):
+    """Range walk and curvature of one scatterer, m_offset symbols after the
+    snapshot epoch. Used to confirm the migration-free regime (drift < range
+    resolution over the CPI)."""
+    x, y = float(scatterer_local[0]), float(scatterer_local[1])
+    cpsi, spsi = math.cos(snapshot.psi0), math.sin(snapshot.psi0)
+    cphi = math.cos(snapshot.phi)
+    dt = m_offset * t_sri
+    walk = (-x * spsi - y * cpsi) * snapshot.omega0 * dt * cphi
+    curv = (-x * cpsi + y * spsi) * 0.5 * (snapshot.omega0 * dt) ** 2 * cphi
+    return walk, curv
 
 
 def isorange_approximation(snapshot, traj, scatterer_local, t):
