@@ -5,8 +5,9 @@ phase-ramp accumulation with the reciprocal filter (gs*x + n)/x, the
 column-wise (axis 0) shift estimator and the roll-based range profiles. The
 current code must reproduce every one of them with np.array_equal, including
 a partial last 128-subcarrier block (k = 2640). The delay ramp is built from
-two tables and moves by a few ulp against the old whole-matrix exp, so both
-are held to one accuracy bound against an extended-precision reference.
+two tables: its blocks must reproduce the whole-matrix two-table product bit
+for bit, and since it moves by a few ulp against the old whole-matrix exp,
+both are held to one accuracy bound against an extended-precision reference.
 """
 
 import numpy as np
@@ -161,6 +162,25 @@ def test_delay_ramp_within_a_few_ulp(k, m_s, noise, spread, seed):
     delays = cells / (derived.k_s * scen.delta_f)  # one range cell is 1 / (k_s delta_f)
     for ramp in (tmc.compensate_delays, _old_compensate_delays):
         assert _within_ramp_bound(ramp(gs, delays, scen.delta_f), gs, delays, scen.delta_f)
+
+
+@pytest.mark.parametrize("k", [1024, 2640])
+@pytest.mark.parametrize("noise", ["on", "off"])
+def test_blocked_delay_ramp_matches_reference(k, noise):
+    """The 128-subcarrier blocks reproduce the whole-matrix two-table ramp
+    (the sensing matrix's _old_phase_ramps) times gs bit for bit, a partial
+    last block included; the aligned delays here are zero, so nonzero ones
+    up to +-k_s/2 range cells are applied too."""
+    (gs, _), scen, derived = _draw(k, noise)
+    assert gs.shape[0] % numerics.RAMP_BLOCK == (0 if k == 1024 else 80)
+    _, aligned = tmc.align(gs, scen.delta_f)
+    cells = np.random.default_rng(5).uniform(-0.5, 0.5, gs.shape[1]) * derived.k_s
+    for delays in (aligned.delays, cells / (derived.k_s * scen.delta_f)):
+        gamma = tmc.compensate_delays(gs, delays, scen.delta_f)
+        reference = _old_phase_ramps(2.0 * np.pi * scen.delta_f * delays, gs.shape[0]) * gs
+        assert np.array_equal(gamma, reference)
+        assert gamma.tobytes() == reference.tobytes()
+        assert _within_ramp_bound(gamma, gs, delays, scen.delta_f)
 
 
 def test_estimate_shifts_ties_match_reference():
