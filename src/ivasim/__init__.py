@@ -24,7 +24,7 @@ from .metrics import (
     make_crop_window,
     threshold_image,
 )
-from .scenario import DerivedParams, ScenarioConfig, derive, load_config
+from .scenario import DerivedParams, ScenarioConfig, derive
 from .target import (
     ExtendedTarget,
     KinematicSnapshot,

@@ -145,7 +145,7 @@ def channel_gain(r, rcs, f_c: float, g_t: float = 1.0, g_r: float = 1.0):
     if np.any(r <= 0):
         raise GeometryError("channel gain undefined for nonpositive range")
     num = g_t * g_r * np.asarray(rcs, dtype=float) * C_LIGHT**2
-    den = (4.0 * np.pi) ** 3 * f_c**2 * r**4
+    den = (4.0 * np.pi) ** 3 * np.float64(f_c) ** 2 * r**4
     return np.sqrt(num / den)
 
 
@@ -162,17 +162,20 @@ def echo_geometry(
     target: ExtendedTarget, traj: TrajectoryState, scenario: ScenarioConfig
 ) -> tuple[np.ndarray, ...]:
     """(L, m_s) azimuths, radar-equation amplitudes, carrier phases and subcarrier
-    phase rates of the echoes over the CPI; a GeometryError if any overflows."""
+    phase rates of the echoes over the CPI; a GeometryError if any overflows.
+    An amplitude that is not finite and positive means a radar-equation term
+    (gain, f_c^2, R^4) overflowed or underflowed."""
     with np.errstate(all="ignore"):  # an overflow is reported below
         pos = scatterer_positions(target, traj, scenario, np.arange(scenario.m_s))
         rel = pos - np.asarray(traj.bs_position, dtype=float)  # (L, m_s, 3)
         ranges = np.linalg.norm(rel, axis=2)
-        g_t, g_r = 10.0 ** (scenario.g_t_dbi / 10.0), 10.0 ** (scenario.g_r_dbi / 10.0)
+        g_t, g_r = 10.0 ** (np.array([scenario.g_t_dbi, scenario.g_r_dbi]) / 10.0)
         amps = channel_gain(ranges, np.asarray(target.rcs)[:, None], scenario.f_c, g_t, g_r)
         carrier = -4.0 * np.pi * scenario.f_c * ranges / C_LIGHT
         rates = -4.0 * np.pi * scenario.delta_f * ranges / C_LIGHT
-    if not all(np.isfinite(x).all() for x in (ranges, amps, carrier, rates)):
-        raise GeometryError(f"echo geometry overflows with f_c={scenario.f_c}, bs_x/bs_y/bs_z="
+    if not (all(np.isfinite(x).all() for x in (ranges, amps, carrier, rates)) and amps.all()):
+        raise GeometryError(f"echo geometry overflows with f_c={scenario.f_c}, g_t_dbi/g_r_dbi="
+                            f"{scenario.g_t_dbi}/{scenario.g_r_dbi}, bs_x/bs_y/bs_z="
                             f"{traj.bs_position}, midpoint_x/midpoint_y={traj.midpoint}, "
                             f"z_c={traj.z_c}, speed={traj.speed}")
     return np.arctan2(rel[:, :, 1], rel[:, :, 0]), amps, carrier, rates

@@ -26,51 +26,23 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import frontend, imaging, metrics, scenario, target, tmc
 from .errors import ConfigurationError, GeometryError, SimulationError
 from .metrics import MetricsReport
-from .scenario import DerivedParams, ScenarioConfig
-from .target import ExtendedTarget, KinematicSnapshot, TrajectoryState
-
-
-@dataclass(frozen=True)
-class SimOptions:
-    """Simulation knobs that are not part of the waveform configuration."""
-
-    noise: bool = True
-    beam: str = "ls"              # "ls" wide-beam synthesis or "ideal" indicator
-    cell_gate: float = 0.1        # energy gate for reference-cell selection
-    crop_half_range: float = 6.0       # m, contrast crop half extent in range
-    crop_half_crossrange: float = 4.0  # m, crop half extent in cross-range
-    image_mode: str = "windowed"  # "windowed" fast path or "full"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    scenario: ScenarioConfig
-    target: ExtendedTarget
-    traj: TrajectoryState
-    options: SimOptions = field(default_factory=SimOptions)
+from .scenario import (FULL_RHO_GRID, DerivedParams, RunConfig, ScenarioConfig, SimOptions,
+                       SweepSpec, load_sweep_spec)
+from .target import KinematicSnapshot
 
 
 def run_config_from_raw(raw: dict) -> RunConfig:
-    """Assemble the full run configuration from parsed key=value pairs, and
-    reject it if its echo geometry overflows (``frontend.echo_geometry``)."""
-    values = scenario.read_values(raw)
-    cfg = RunConfig(
-        scenario=scenario.scenario_from_raw(raw),
-        target=(
-            ExtendedTarget(*values["scatterers"])
-            if "scatterers" in values
-            else target.default_vehicle()
-        ),
-        traj=target.trajectory_from_values(values),
-        options=SimOptions(**scenario.field_values(SimOptions, values)),
-    )
+    """The run configuration resolved from parsed key=value pairs
+    (``scenario.scenario_from_raw``), rejected if its echo geometry overflows
+    (``frontend.echo_geometry``)."""
+    cfg = scenario.scenario_from_raw(raw)
     frontend.echo_geometry(cfg.target, cfg.traj, cfg.scenario)
     return cfg
 
@@ -258,37 +230,6 @@ def run_trial(
 # --------------------------------------------------------------------------
 # Sweeps
 # --------------------------------------------------------------------------
-
-FULL_RHO_GRID = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    rho_f: tuple = FULL_RHO_GRID
-    speeds: tuple = (10.0, 20.0, 30.0)
-    headings: tuple = (270.0, 300.0)
-    n_mc: int = 50
-
-    def __post_init__(self):
-        if not self.rho_f or not self.speeds or not self.headings:
-            raise ConfigurationError("sweep lists must be nonempty")
-        if self.n_mc < 1:
-            raise ConfigurationError(f"n_mc must be >= 1, got {self.n_mc}")
-
-    def points(self) -> list[tuple[float, float, float]]:
-        """(heading, speed, rho_f) grid in deterministic order."""
-        return [
-            (h, v, r) for h in self.headings for v in self.speeds for r in self.rho_f
-        ]
-
-
-def load_sweep_spec(path: str | None) -> SweepSpec:
-    if path is None:
-        return SweepSpec()
-    readers = scenario.field_readers(SweepSpec)
-    raw = scenario.parse_config_file(path, readers)
-    return SweepSpec(**scenario.read_values(raw, readers, path))
-
 
 def _point_config(base_raw: dict, heading: float, speed: float, rho: float) -> RunConfig:
     point = {"heading_deg": heading, "speed": speed, "rho_f": rho}

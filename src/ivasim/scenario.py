@@ -1,4 +1,4 @@
-"""Waveform/system configuration and every quantity derived from it.
+"""Configuration: types, keys, file parsing, resolution, derived quantities.
 
 The default scenario is a 5G NR upper mid-band numerology: 6.7 GHz carrier,
 30 kHz subcarrier spacing, 13200 active subcarriers (~400 MHz), 10 ms frames of
@@ -9,10 +9,11 @@ override any default; unknown keys are rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError
 from .numerics import next_pow2
+from .target import ExtendedTarget, TrajectoryState, default_vehicle
 
 C_LIGHT = 299792458.0  # m/s
 K_BOLTZMANN = 1.38e-23  # J/K
@@ -66,9 +67,9 @@ class ScenarioConfig:
                 f"t_g, t0 and seed must be nonnegative, got t_g={self.t_g}, t0={self.t0}, "
                 f"seed={self.seed}"
             )
-        if min(self.n_t, self.n_r) < 1:
+        if min(self.m, self.n_t, self.n_r) < 1:
             raise ConfigurationError(
-                f"n_t and n_r must be >= 1, got n_t={self.n_t}, n_r={self.n_r}"
+                f"m, n_t and n_r must be >= 1, got m={self.m}, n_t={self.n_t}, n_r={self.n_r}"
             )
         if self.f_c <= 0 or self.t_f <= 0:
             raise ConfigurationError(
@@ -139,9 +140,9 @@ def derive(config: ScenarioConfig) -> DerivedParams:
 #
 # Every key maps to the reader of its value, which raises ValueError on a bad
 # value. Config files and sweep files share one syntax: one "key = value" pair
-# per line, '#' starts a comment. The file may also carry the trajectory,
-# target and simulation keys that the harness consumes; all of them are read
-# here, so a typo anywhere in the file is caught with its line.
+# per line, '#' starts a comment. The file also carries the trajectory,
+# target and simulation keys; all of them are read here, so a typo anywhere
+# in the file is caught with its line.
 # --------------------------------------------------------------------------
 
 
@@ -241,28 +242,88 @@ def parse_config_file(path: str, readers: dict = KEYS) -> dict[str, str]:
     return raw
 
 
-def scenario_from_raw(raw: dict) -> ScenarioConfig:
-    """Build a ScenarioConfig from parsed raw values, filling defaults.
+@dataclass(frozen=True)
+class SimOptions:
+    """Simulation knobs that are not part of the waveform configuration."""
+
+    noise: bool = True
+    beam: str = "ls"              # "ls" wide-beam synthesis or "ideal" indicator
+    cell_gate: float = 0.1        # energy gate for reference-cell selection
+    crop_half_range: float = 6.0       # m, contrast crop half extent in range
+    crop_half_crossrange: float = 4.0  # m, crop half extent in cross-range
+    image_mode: str = "windowed"  # "windowed" fast path or "full"
+
+    def __post_init__(self):
+        if self.cell_gate < 0 or min(self.crop_half_range, self.crop_half_crossrange) <= 0:
+            raise ConfigurationError(f"need cell_gate >= 0 and crop halves > 0, got {self}")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    scenario: ScenarioConfig
+    target: ExtendedTarget
+    traj: TrajectoryState
+    options: SimOptions = field(default_factory=SimOptions)
+
+
+def scenario_from_raw(raw: dict) -> RunConfig:
+    """Resolve parsed raw key=value pairs into the run configuration, filling
+    defaults; each value is read once.
 
     m_s and n_ref default by heading when not given (220/3 for 270 deg,
     200/5 for 300 deg, following the reference setup); other headings use
     200/5. theta_s_deg defaults to the azimuth of the trajectory midpoint.
     """
-    from .target import trajectory_from_values  # target imports this module
-
     values = read_values(raw)
-    traj = trajectory_from_values(values)
+    d = TrajectoryState()
+    (mx, my), (bx, by, bz) = d.midpoint, d.bs_position
+    traj = TrajectoryState(
+        midpoint=(values.get("midpoint_x", mx), values.get("midpoint_y", my)),
+        z_c=values.get("z_c", d.z_c),
+        heading_deg=values.get("heading_deg", d.heading_deg),
+        speed=values.get("speed", d.speed),
+        bs_position=(values.get("bs_x", bx), values.get("bs_y", by), values.get("bs_z", bz)),
+    )
     kwargs = field_values(ScenarioConfig, values)
     near_270 = abs((traj.heading_deg - 270.0 + 180.0) % 360.0 - 180.0) < 1.0
     kwargs.setdefault("m_s", 220 if near_270 else 200)
     kwargs.setdefault("n_ref", 3 if near_270 else 5)
     if "theta_s_deg" not in kwargs:
-        mx = traj.midpoint[0] - traj.bs_position[0]
-        my = traj.midpoint[1] - traj.bs_position[1]
-        kwargs["theta_s_deg"] = math.degrees(math.atan2(my, mx))
-    return ScenarioConfig(**kwargs)
+        dx, dy = (m - b for m, b in zip(traj.midpoint, traj.bs_position))  # ground offset
+        kwargs["theta_s_deg"] = math.degrees(math.atan2(dy, dx))
+    return RunConfig(
+        ScenarioConfig(**kwargs),
+        ExtendedTarget(*values["scatterers"]) if "scatterers" in values else default_vehicle(),
+        traj, SimOptions(**field_values(SimOptions, values)),
+    )
 
 
-def load_config(path: str) -> ScenarioConfig:
-    """Load and validate the scenario portion of a config file."""
-    return scenario_from_raw(parse_config_file(path))
+FULL_RHO_GRID = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    rho_f: tuple = FULL_RHO_GRID
+    speeds: tuple = (10.0, 20.0, 30.0)
+    headings: tuple = (270.0, 300.0)
+    n_mc: int = 50
+
+    def __post_init__(self):
+        if not self.rho_f or not self.speeds or not self.headings:
+            raise ConfigurationError("sweep lists must be nonempty")
+        if self.n_mc < 1:
+            raise ConfigurationError(f"n_mc must be >= 1, got {self.n_mc}")
+
+    def points(self) -> list[tuple[float, float, float]]:
+        """(heading, speed, rho_f) grid in deterministic order."""
+        return [
+            (h, v, r) for h in self.headings for v in self.speeds for r in self.rho_f
+        ]
+
+
+def load_sweep_spec(path: str | None) -> SweepSpec:
+    if path is None:
+        return SweepSpec()
+    readers = field_readers(SweepSpec)
+    raw = parse_config_file(path, readers)
+    return SweepSpec(**read_values(raw, readers, path))

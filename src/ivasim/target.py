@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, GeometryError
-from .scenario import DerivedParams, ScenarioConfig
+
+# annotations name ScenarioConfig and DerivedParams of ``scenario``, which imports this module
 
 # Five-point vehicular layout (front, rear, roof, left, right), local frame,
 # unit RCS each. Local x' points along the heading.
@@ -85,19 +86,6 @@ class TrajectoryState:
     def velocity(self) -> np.ndarray:
         h = self.heading_rad
         return self.speed * np.array([math.cos(h), math.sin(h), 0.0])
-
-
-def trajectory_from_values(values: dict) -> TrajectoryState:
-    """Trajectory from typed config values; keys not given keep the defaults."""
-    d = TrajectoryState()
-    (mx, my), (bx, by, bz) = d.midpoint, d.bs_position
-    return TrajectoryState(
-        midpoint=(values.get("midpoint_x", mx), values.get("midpoint_y", my)),
-        z_c=values.get("z_c", d.z_c),
-        heading_deg=values.get("heading_deg", d.heading_deg),
-        speed=values.get("speed", d.speed),
-        bs_position=(values.get("bs_x", bx), values.get("bs_y", by), values.get("bs_z", bz)),
-    )
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import numerics
 from .errors import ConfigurationError, DataError
-from .numerics import Quadratic
 from .scenario import C_LIGHT
 from .target import reference_index
 
@@ -42,7 +41,6 @@ class AlignmentResult:
     raw_shifts: np.ndarray         # (m_s,) integer shifts, range cells
     unwrapped_shifts: np.ndarray   # (m_s,) raw shifts unwrapped through phase space, cells
     regularized_shifts: np.ndarray  # (m_s,) fitted shifts, range cells
-    fitted: Quadratic
     delays: np.ndarray             # (m_s,) compensated delays, s
     residual_rms: float            # RMS of (unwrapped - fitted) shifts, cells
 
@@ -106,7 +104,7 @@ def estimate_shifts(gs: np.ndarray) -> np.ndarray:
     return shifts.astype(int)
 
 
-def regularize_shifts(raw_shifts: np.ndarray, k_s: int) -> tuple[np.ndarray, Quadratic]:
+def regularize_shifts(raw_shifts: np.ndarray, k_s: int) -> np.ndarray:
     """Unwrap the shifts through phase space and fit a quadratic drift.
 
     Shifts map to phases 2*pi*q/k_s, get unwrapped to remove +-k_s/2 aliasing,
@@ -118,10 +116,8 @@ def regularize_shifts(raw_shifts: np.ndarray, k_s: int) -> tuple[np.ndarray, Qua
         raise DataError("need at least 3 symbols to regularize shifts")
     phase = 2.0 * np.pi * raw_shifts / k_s
     unwrapped_cells = k_s / (2.0 * np.pi) * numerics.unwrap_phase(phase)
-    fitted = numerics.quadratic_ls_fit(unwrapped_cells)
     j = np.arange(1, raw_shifts.size + 1, dtype=float)
-    regularized = fitted.evaluate(j)
-    return regularized, fitted
+    return numerics.quadratic_ls_fit(unwrapped_cells).evaluate(j)
 
 
 def compensate_delays(gs: np.ndarray, delays: np.ndarray, delta_f: float) -> np.ndarray:
@@ -152,7 +148,7 @@ def align(gs: np.ndarray, delta_f: float) -> tuple[np.ndarray, AlignmentResult]:
     (k_s, m_s) delay-compensated grid gamma and the per-symbol outcome."""
     k_s = gs.shape[0]
     raw = estimate_shifts(gs)
-    regularized, fitted = regularize_shifts(raw, k_s)
+    regularized = regularize_shifts(raw, k_s)
     delta_tau = 1.0 / (k_s * delta_f)
     delays = (regularized - regularized[reference_index(gs.shape[1])]) * delta_tau
     gamma = compensate_delays(gs, delays, delta_f)
@@ -163,7 +159,6 @@ def align(gs: np.ndarray, delta_f: float) -> tuple[np.ndarray, AlignmentResult]:
         raw_shifts=raw,
         unwrapped_shifts=unwrapped_cells,
         regularized_shifts=regularized,
-        fitted=fitted,
         delays=delays,
         residual_rms=float(np.sqrt(np.mean(residual**2))),
     )
@@ -189,20 +184,15 @@ def range_profiles(gamma: np.ndarray, k_p: int, delta_f: float) -> RangeProfileS
     return RangeProfileSet(s=buf[:k_p], axis=np.arange(k_p) * range_bin)
 
 
-def write_debug_csv(
-    path: str, result: AlignmentResult, cpe: np.ndarray | None = None
-) -> None:
+def write_debug_csv(path: str, result: AlignmentResult, cpe: np.ndarray) -> None:
     """Per-symbol alignment diagnostics from ``result``: raw shift, unwrapped
-    shift, fitted shift, compensated delay, and (when given) the estimated
-    common phase."""
+    shift, fitted shift, compensated delay, and the estimated common phase."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("m_s,q_raw,q_unwrapped,q_fitted,tau_s,cpe_rad\n")
         for m in range(result.raw_shifts.size):
-            cpe_val = f"{cpe[m]:.10g}" if cpe is not None else ""
             fh.write(
                 f"{m},{result.raw_shifts[m]},{result.unwrapped_shifts[m]:.10g},"
-                f"{result.regularized_shifts[m]:.10g},{result.delays[m]:.10g},"
-                f"{cpe_val}\n"
+                f"{result.regularized_shifts[m]:.10g},{result.delays[m]:.10g},{cpe[m]:.10g}\n"
             )
 
 

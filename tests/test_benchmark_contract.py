@@ -1,10 +1,11 @@
 """What the benchmark in perfbench/ relies on from ivasim.
 
 perfbench wraps the module functions named in ``perfbench/spans.py``
-``LAYER_FUNCS`` and drives sweeps through ``harness._sweep_worker`` jobs. Its
-own self-tests (``perfbench/test_perfbench.py``, in the default test paths
-too) check its measurements; these checks name what it needs of ivasim, so a
-refactor of ivasim cannot silently break it. The file is read, not imported.
+``LAYER_FUNCS``, calls the entry points in ``ENTRY_POINTS`` and drives sweeps
+through ``harness._sweep_worker`` jobs. Its own self-tests
+(``perfbench/test_perfbench.py``, in the default test paths too) check its
+measurements; these checks name what it needs of ivasim, so a refactor of
+ivasim cannot silently break it. The file is read, not imported.
 """
 
 import ast
@@ -32,7 +33,13 @@ def resolve(name: str):
     return importlib.import_module(f"ivasim.{module}"), attr
 
 
-@pytest.mark.parametrize("name", layer_funcs())
+# the entry points perfbench/measure.py calls besides the wrapped functions
+ENTRY_POINTS = ("harness.run_sweep", "harness.load_run_config", "harness.run_config_from_raw",
+                "harness.load_sweep_spec", "harness.SweepSpec", "harness.trial_seed",
+                "scenario.parse_config_file")
+
+
+@pytest.mark.parametrize("name", layer_funcs() + ENTRY_POINTS)
 def test_layer_func_is_callable(name):
     module, attr = resolve(name)
     assert callable(getattr(module, attr, None))

@@ -68,6 +68,20 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             load_run_config(overrides={"bogus": 1})
 
+    def test_each_value_read_once(self, monkeypatch):
+        """Resolving a config reads its raw values in one pass."""
+        calls, read = [], scenario.read_values
+
+        def counted(raw, *args):
+            calls.append(raw)
+            return read(raw, *args)
+
+        monkeypatch.setattr(scenario, "read_values", counted)
+        raw = {"rho_f": "0.4", "heading_deg": "300", "scatterers": "1 0 0 2", "noise": "off"}
+        cfg = harness.run_config_from_raw(raw)
+        assert calls == [raw]
+        assert (cfg.scenario.m_s, cfg.target.count, cfg.options.noise) == (200, 1, False)
+
     def test_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("rho_f = 0.4\nspeed = 20\nheading_deg = 300\nbeam = ideal\n")
@@ -656,12 +670,14 @@ class TestConfigValuesCheckedAtParse:
 
 @pytest.mark.usefixtures("no_trials")
 class TestConfigsThatBreakDerive:
-    """Values that would divide by zero or overflow in scenario.derive, or
-    crash a trial later (no array elements, a negative noise temperature or
-    seed), end in an error line and exit 1, before any trial runs."""
+    """Values that would divide by zero or overflow in scenario.derive, crash
+    a trial later (no array elements, a negative noise temperature or seed),
+    or mean nothing (no symbols per frame, a negative cell gate, an empty
+    crop), end in an error line and exit 1, before any trial runs."""
 
     LINES = ["f_c = 0", "t_f = 0", "p_t_dbm = 1e308", "noise_figure_db = 1e308",
-             "n_t = 0", "n_r = 0", "t0 = -1", "seed = -3"]
+             "n_t = 0", "n_r = 0", "t0 = -1", "seed = -3", "m = 0", "cell_gate = -1",
+             "crop_half_range = -1", "crop_half_crossrange = 0"]
 
     @staticmethod
     def _check_rejected(tmp_path, capsys, line, sweep, flags=()):
@@ -691,12 +707,16 @@ class TestConfigsThatBreakDerive:
 @pytest.mark.usefixtures("no_trials")
 class TestGeometryThatOverflows:
     """Finite geometry values whose echo ranges, amplitudes or phases overflow
-    float64 end in a GeometryError that names the key, before any trial runs
-    and before numpy warns, in single mode and in sweeps. A sweep takes the
-    speed from its own list, so there the speed is set in the sweep file."""
+    float64, or whose radar-equation terms overflow so that the amplitudes
+    are zero (f_c = 1e150), end in a GeometryError that names the key, before
+    any trial runs and before numpy warns, in single mode and in sweeps. A
+    sweep takes the speed from its own list, so there the speed is set in the
+    sweep file."""
 
     @pytest.mark.parametrize("workers", [0, 1, 2], ids=["single", "sweep1", "sweep2"])
-    @pytest.mark.parametrize("line", ["f_c = 1e-300", "bs_z = 1e300", "speed = 1e300"])
+    @pytest.mark.parametrize("line", ["f_c = 1e-300", "bs_z = 1e300", "speed = 1e300",
+                                      "f_c = 1e300", "f_c = 1e200", "f_c = 1e150",
+                                      "g_t_dbi = 1e308", "g_r_dbi = 1e308"])
     def test_rejected(self, tmp_path, capsys, line, workers):
         key, _, value = line.split()
         in_spec = workers and key == "speed"
@@ -739,6 +759,13 @@ class TestDefaultConfig:
         assert digest({"z_c": "1.7"}) != base
         # at 300 deg the explicit 270-deg values differ from the heading default
         assert digest({"m_s": "220", "n_ref": "3"}) != base
+
+    def test_config_digest_of_the_default_file_is_pinned(self):
+        """The digest hashes the reprs of the resolved config types, so a
+        change to their names, fields or values moves this pinned value."""
+        spec = SweepSpec(rho_f=(0.2,), speeds=(10.0,), headings=(300.0,), n_mc=1)
+        raw = scenario.parse_config_file(self.DEFAULT_CFG)
+        assert harness._config_digest(raw, spec, 0) == "b56f0ad1de97"
 
     def test_header_digest_ignores_spelling(self, tmp_path):
         spec = SweepSpec(rho_f=(1.0,), speeds=(30.0,), headings=(300.0,), n_mc=1)

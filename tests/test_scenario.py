@@ -5,7 +5,12 @@ import pytest
 
 from ivasim import scenario
 from ivasim.errors import ConfigurationError
-from ivasim.scenario import ScenarioConfig, derive, load_config
+from ivasim.scenario import ScenarioConfig, derive
+
+
+def load_config(path: str) -> ScenarioConfig:
+    """The scenario part of a config file, resolved."""
+    return scenario.scenario_from_raw(scenario.parse_config_file(path)).scenario
 
 
 class TestDerive:

@@ -86,11 +86,11 @@ class TestRegularizeShifts:
     def test_exact_quadratic_reproduced(self):
         j = np.arange(1, 41)
         true = 2.0 + 0.3 * j - 0.004 * j**2
-        reg, _ = regularize_shifts(true, k_s=256)
+        reg = regularize_shifts(true, k_s=256)
         assert np.abs(reg - true).max() < 1e-6
 
     def test_constant_shifts(self):
-        reg, _ = regularize_shifts(np.full(12, 7.0), k_s=64)
+        reg = regularize_shifts(np.full(12, 7.0), k_s=64)
         assert np.allclose(reg, 7.0, atol=1e-9)
 
     def test_alias_boundary_unwrapped(self):
@@ -98,7 +98,7 @@ class TestRegularizeShifts:
         j = np.arange(40)
         true = 20.0 + 0.8 * j  # drifts through +32 and wraps
         wrapped = (np.round(true) + k_s // 2) % k_s - k_s // 2
-        reg, _ = regularize_shifts(wrapped, k_s)
+        reg = regularize_shifts(wrapped, k_s)
         assert np.abs(reg - np.round(true)).max() < 1.0  # continuity restored
 
     def test_quadratic_with_subcell_noise_stays_within_cell(self):
@@ -106,7 +106,7 @@ class TestRegularizeShifts:
         j = np.arange(1, 101)
         true = -3.0 + 0.1 * j + 0.001 * j**2
         raw = np.round(true + rng.uniform(-0.4, 0.4, j.size))
-        reg, _ = regularize_shifts(raw, k_s=512)
+        reg = regularize_shifts(raw, k_s=512)
         assert np.abs(reg - raw).max() < 1.0
 
 
