@@ -77,6 +77,15 @@ class ScenarioConfig:
             )
         if max(self.p_t_dbm, self.noise_figure_db) > 3000.0:  # 1e300 as a linear ratio
             raise ConfigurationError("p_t_dbm and noise_figure_db must not exceed 3000 dB")
+        # derive's frame-time fraction rho_t = t_s ceil(m / n_s) / t_f, with
+        # n_s = round(t_sri / t_s), must not exceed 1. Capping n_s at m leaves
+        # ceil(m / n_s) unchanged, and the integer form cannot overflow.
+        n_s = round(min(self.t_sri / t_s, self.m)) if t_s > 0 else 0
+        if n_s >= 1 and -(-self.m // n_s) > self.t_f / t_s:
+            raise ConfigurationError(
+                f"t_f={self.t_f} too short for the sensing symbols of a frame of m={self.m} "
+                f"symbols at t_sri={self.t_sri}: rho_t > 1"
+            )
 
 
 @dataclass(frozen=True)
@@ -217,7 +226,7 @@ def read_values(raw: dict, readers: dict = KEYS, where: str = "config") -> dict:
         try:
             values[key] = readers[key](value)
         except ValueError as exc:
-            raise ConfigurationError(f"{where}: bad value for {key!r}: {value!r}") from exc
+            raise ConfigurationError(f"{where}: bad value for {key!r}: {value!r} ({exc})") from exc
     return values
 
 
@@ -321,9 +330,27 @@ class SweepSpec:
         ]
 
 
+def _finite_list_where(ok, rule: str):
+    """Reader of a finite list whose every value satisfies ok."""
+    def read(text: str) -> tuple[float, ...]:
+        values = _finite_list(text)
+        if not all(ok(value) for value in values):
+            raise ValueError(rule)
+        return values
+    return read
+
+
+SWEEP_KEYS = {
+    **field_readers(SweepSpec),
+    "rho_f": _finite_list_where(lambda r: 0.0 < r <= 1.0, "rho_f must be in (0, 1]"),
+    "speeds": _finite_list_where(lambda v: v >= 0.0, "speeds must be >= 0"),
+}
+
+
 def load_sweep_spec(path: str | None) -> SweepSpec:
+    """The sweep spec of a sweep file (defaults when absent); a bad value,
+    out-of-range ones included, is reported with its file and line."""
     if path is None:
         return SweepSpec()
-    readers = field_readers(SweepSpec)
-    raw = parse_config_file(path, readers)
-    return SweepSpec(**read_values(raw, readers, path))
+    raw = parse_config_file(path, SWEEP_KEYS)
+    return SweepSpec(**read_values(raw, SWEEP_KEYS, path))

@@ -49,19 +49,25 @@ class AlignmentResult:
 class RangeProfileSet:
     """Range profiles: rows are range bins, columns slow time. They carry no
     correction state: in a trial the image pass phase-corrects each block of
-    rows of ``s`` it forms (``apply_phase_correction``)."""
+    rows of ``s`` it forms (``apply_phase_correction``).
+
+    From ``range_profiles``, ``s`` is a (k_p, m_s) view of a symbol-major
+    (m_s, k_p + 1) buffer: a profile row gathers one element per symbol."""
 
     s: np.ndarray                  # (k_p, m_s) complex
     axis: np.ndarray               # (k_p,) range per bin, m
 
     @cached_property
     def row_l1(self) -> np.ndarray:
-        """(k_p,) slow-time L1 norm sum_m |s[n, m]| of every row, ROW_BLOCK
-        rows at a time, so no full-size |s| array is made."""
-        return np.concatenate([
-            np.abs(self.s[i:i + ROW_BLOCK]).sum(axis=1)
-            for i in range(0, self.s.shape[0], ROW_BLOCK)
-        ])
+        """(k_p,) slow-time L1 norm sum_m |s[n, m]| of every row, one symbol
+        at a time along the rows of ``s.T[:, ::-1]`` (its column k_p - 1 - n
+        is row n of s), so no full-size |s| array is made and every read runs
+        forward through the symbol-major buffer."""
+        forward = self.s.T[:, ::-1]
+        acc, env = np.zeros(forward.shape[1]), np.empty(forward.shape[1])
+        for symbol in forward:
+            acc += np.abs(symbol, out=env)
+        return acc[::-1]
 
 
 def _signed_shift(index: np.ndarray, k_s: int) -> np.ndarray:
@@ -121,31 +127,38 @@ def regularize_shifts(raw_shifts: np.ndarray, k_s: int) -> np.ndarray:
 
 
 def compensate_delays(gs: np.ndarray, delays: np.ndarray, delta_f: float) -> np.ndarray:
-    """Apply the per-symbol delay compensation phase ramp across subcarriers:
-    gamma[k, m] = gs[k, m] * exp(i 2 pi k delta_f tau[m]). The ramp comes from
+    """Apply the per-symbol delay compensation phase ramp across subcarriers
+    and return the grid symbol-major, (m_s, k_s):
+    gamma[m, k] = gs[k, m] * exp(i 2 pi k delta_f tau[m]). The ramp comes from
     the two tables of ``numerics.ramp_tables``, one block of subcarriers at a
-    time; it is within a few ulp of the direct exp (checked in
+    time in a (RAMP_BLOCK, m_s) scratch block that is then written transposed;
+    it is within a few ulp of the direct exp (checked in
     tests/test_bit_identity.py against an extended-precision reference).
     """
     gs = np.asarray(gs)
     delays = np.asarray(delays, dtype=float)
     if not np.all(np.isfinite(delays)):
         raise DataError("non-finite delays")
-    if delays.shape != (gs.shape[1],):
+    k_s, m_s = gs.shape
+    if delays.shape != (m_s,):
         raise ConfigurationError("one delay per slow-time column required")
-    lo, hi = numerics.ramp_tables(2.0 * np.pi * delta_f * delays, gs.shape[0])
-    gamma = np.empty(gs.shape, dtype=np.result_type(gs, 1j))
+    lo, hi = numerics.ramp_tables(2.0 * np.pi * delta_f * delays, k_s)
+    gamma = np.empty((m_s, k_s), dtype=np.result_type(gs, 1j))
+    scratch = np.empty((numerics.RAMP_BLOCK, m_s), dtype=gamma.dtype)
     for j, top in enumerate(hi):
         rows = slice(j * numerics.RAMP_BLOCK, (j + 1) * numerics.RAMP_BLOCK)
-        out = gamma[rows]
+        block = gs[rows]
+        out = scratch[: block.shape[0]]
         np.multiply(top, lo[: out.shape[0]], out=out)
-        np.multiply(out, gs[rows], out=out)
+        np.multiply(out, block, out=out)
+        gamma[:, rows] = out.T
     return gamma
 
 
 def align(gs: np.ndarray, delta_f: float) -> tuple[np.ndarray, AlignmentResult]:
     """Full range alignment: estimate, regularize, and compensate. Returns the
-    (k_s, m_s) delay-compensated grid gamma and the per-symbol outcome."""
+    symbol-major (m_s, k_s) delay-compensated grid gamma and the per-symbol
+    outcome."""
     k_s = gs.shape[0]
     raw = estimate_shifts(gs)
     regularized = regularize_shifts(raw, k_s)
@@ -165,23 +178,25 @@ def align(gs: np.ndarray, delta_f: float) -> tuple[np.ndarray, AlignmentResult]:
 
 
 def range_profiles(gamma: np.ndarray, k_p: int, delta_f: float) -> RangeProfileSet:
-    """Zero-padded range profiles with an increasing range axis.
+    """Zero-padded range profiles with an increasing range axis, from the
+    symbol-major (m_s, k_s) grid gamma.
 
-    Column-wise k_p-point FFT across subcarriers; the result is time-reversed
-    and circularly offset, so a one-bin rotation plus a left-right flip places
-    zero delay at bin 0 with range increasing along the rows. Writing the
-    transform into buf[k_p:0:-1] and setting buf[0] = buf[k_p] does both.
+    k_p-point FFT across subcarriers, along the contiguous symbol-major axis;
+    the result is time-reversed and circularly offset, so a one-bin rotation
+    plus a flip places zero delay at bin 0 with range increasing. Writing the
+    transform into buf[:, :k_p], setting buf[:, k_p] = buf[:, 0] and reading
+    s = buf[:, k_p:0:-1].T does both: s is the (k_p, m_s) profiles, rows
+    range bins.
     """
     gamma = np.asarray(gamma)
-    if k_p < gamma.shape[0]:
-        raise ConfigurationError(
-            f"k_p={k_p} smaller than the sensing band {gamma.shape[0]}"
-        )
-    buf = np.empty((k_p + 1,) + gamma.shape[1:], dtype=complex)
-    numerics.fft(gamma, k_p, axis=0, out=buf[k_p:0:-1])
-    buf[0] = buf[k_p]
+    m_s, k_s = gamma.shape
+    if k_p < k_s:
+        raise ConfigurationError(f"k_p={k_p} smaller than the sensing band {k_s}")
+    buf = np.empty((m_s, k_p + 1), dtype=complex)
+    numerics.fft(gamma, k_p, axis=1, out=buf[:, :k_p])
+    buf[:, k_p] = buf[:, 0]
     range_bin = C_LIGHT / (2.0 * k_p * delta_f)
-    return RangeProfileSet(s=buf[:k_p], axis=np.arange(k_p) * range_bin)
+    return RangeProfileSet(s=buf[:, k_p:0:-1].T, axis=np.arange(k_p) * range_bin)
 
 
 def write_debug_csv(path: str, result: AlignmentResult, cpe: np.ndarray) -> None:
@@ -239,8 +254,10 @@ def estimate_cpe(profiles: RangeProfileSet, cells: np.ndarray) -> np.ndarray:
 
 
 def apply_phase_correction(s: np.ndarray, cpe: np.ndarray) -> np.ndarray:
-    """Element-wise phase correction s[n, m] * exp(-i cpe[m]) of profile rows s."""
+    """Element-wise phase correction s[n, m] * exp(-i cpe[m]) of profile rows
+    s, returned C-ordered whatever the layout of s, so the rows reach the
+    Doppler transform contiguous."""
     cpe = np.asarray(cpe, dtype=float)
     if cpe.shape != (s.shape[1],):
         raise ConfigurationError("one phase-correction value per symbol required")
-    return s * np.exp(-1j * cpe)[None, :]
+    return np.multiply(s, np.exp(-1j * cpe)[None, :], out=np.empty(s.shape, dtype=complex))

@@ -3,7 +3,8 @@
 Each check prints one `[criterion N] PASS/FAIL` line (run with -s to see them
 all). Criteria 6 and 7 share one Monte Carlo sweep over the full
 (heading x speed x subcarrier-fraction) grid at 50 trials per point; expect
-tens of minutes for the whole module on a 2-core machine.
+tens of minutes for the whole module on a 2-core machine. Both carry the
+``slow`` marker, so ``pytest -m "not slow"`` leaves that sweep out.
 """
 
 import numpy as np
@@ -247,6 +248,7 @@ def sweep_summary(tmp_path_factory):
     return harness.run_sweep({}, spec, master_seed=0, out_dir=str(out_dir), workers=2)
 
 
+@pytest.mark.slow
 def test_criterion_6_contrast_trend(sweep_summary):
     rho_grid = harness.FULL_RHO_GRID
     ok = True
@@ -267,6 +269,7 @@ def test_criterion_6_contrast_trend(sweep_summary):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_7_rmse_targets(sweep_summary):
     ok = True
     details = []

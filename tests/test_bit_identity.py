@@ -2,12 +2,14 @@
 
 The old formulas are kept here as references: the per-scatterer full-matrix
 phase-ramp accumulation with the reciprocal filter (gs*x + n)/x, the
-column-wise (axis 0) shift estimator and the roll-based range profiles. The
-current code must reproduce every one of them with np.array_equal, including
-a partial last 128-subcarrier block (k = 2640). The delay ramp is built from
-two tables: its blocks must reproduce the whole-matrix two-table product bit
-for bit, and since it moves by a few ulp against the old whole-matrix exp,
-both are held to one accuracy bound against an extended-precision reference.
+column-wise (axis 0) shift estimator and the roll-based range profiles of a
+subcarrier-major (k_s, m_s) grid. The current code must reproduce every one
+of them with np.array_equal, including a partial last 128-subcarrier block
+(k = 2640); the delay-compensated grid is now symbol-major (m_s, k_s), so it
+is compared transposed. The delay ramp is built from two tables: its blocks
+must reproduce the whole-matrix two-table product bit for bit, and since it
+moves by a few ulp against the old whole-matrix exp, both are held to one
+accuracy bound against an extended-precision reference.
 """
 
 import numpy as np
@@ -75,7 +77,8 @@ def _old_estimate_shifts(gs):
 
 
 def _old_compensate_delays(gs, delays, delta_f):
-    # the whole-matrix ramp before the two-table build: one complex exp per element
+    # the whole-matrix ramp before the two-table build: one complex exp per
+    # element, subcarrier-major (k_s, m_s)
     k = np.arange(gs.shape[0])
     return gs * np.exp(1j * 2.0 * np.pi * delta_f * np.outer(k, delays))
 
@@ -129,7 +132,7 @@ def test_alignment_and_profiles_match_reference(k, noise):
     gamma, _ = tmc.align(gs, scen.delta_f)
     profiles = tmc.range_profiles(gamma, derived.k_p, scen.delta_f).s
     assert profiles.shape == (derived.k_p, gs.shape[1])
-    assert np.array_equal(profiles, _old_range_profiles(gamma, derived.k_p))
+    assert np.array_equal(profiles, _old_range_profiles(gamma.T, derived.k_p))
 
 
 def _within_ramp_bound(gamma, gs, delays, delta_f):
@@ -160,8 +163,9 @@ def test_delay_ramp_within_a_few_ulp(k, m_s, noise, spread, seed):
     (gs, _), scen, derived = _draw(k, noise, seed=seed, m_s=m_s)
     cells = np.random.default_rng(seed).uniform(-1.0, 1.0, m_s) * spread * derived.k_s
     delays = cells / (derived.k_s * scen.delta_f)  # one range cell is 1 / (k_s delta_f)
-    for ramp in (tmc.compensate_delays, _old_compensate_delays):
-        assert _within_ramp_bound(ramp(gs, delays, scen.delta_f), gs, delays, scen.delta_f)
+    for gamma in (tmc.compensate_delays(gs, delays, scen.delta_f).T,
+                  _old_compensate_delays(gs, delays, scen.delta_f)):
+        assert _within_ramp_bound(gamma, gs, delays, scen.delta_f)
 
 
 @pytest.mark.parametrize("k", [1024, 2640])
@@ -176,11 +180,31 @@ def test_blocked_delay_ramp_matches_reference(k, noise):
     _, aligned = tmc.align(gs, scen.delta_f)
     cells = np.random.default_rng(5).uniform(-0.5, 0.5, gs.shape[1]) * derived.k_s
     for delays in (aligned.delays, cells / (derived.k_s * scen.delta_f)):
-        gamma = tmc.compensate_delays(gs, delays, scen.delta_f)
+        gamma = tmc.compensate_delays(gs, delays, scen.delta_f).T
         reference = _old_phase_ramps(2.0 * np.pi * scen.delta_f * delays, gs.shape[0]) * gs
         assert np.array_equal(gamma, reference)
-        assert gamma.tobytes() == reference.tobytes()
+        assert np.ascontiguousarray(gamma).tobytes() == reference.tobytes()
         assert _within_ramp_bound(gamma, gs, delays, scen.delta_f)
+
+
+@pytest.mark.parametrize("k", [1024, 2640])
+@pytest.mark.parametrize("noise", ["on", "off"])
+def test_symbol_major_transform_matches_reference(k, noise):
+    """The symbol-major chain reproduces the subcarrier-major one bit for bit:
+    compensate_delays writes each 128-subcarrier block (an 80-subcarrier last
+    block at k = 2640) transposed into a C-ordered (m_s, k_s) gamma, and
+    range_profiles, transforming along its rows, gives the (k_p, m_s)
+    profiles of the old axis-0 transform and roll."""
+    (gs, _), scen, derived = _draw(k, noise)
+    cells = np.random.default_rng(6).uniform(-0.5, 0.5, gs.shape[1]) * derived.k_s
+    delays = cells / (derived.k_s * scen.delta_f)
+    gamma = tmc.compensate_delays(gs, delays, scen.delta_f)
+    reference = _old_phase_ramps(2.0 * np.pi * scen.delta_f * delays, gs.shape[0]) * gs
+    assert gamma.shape == (gs.shape[1], derived.k_s) and gamma.flags.c_contiguous
+    assert np.ascontiguousarray(gamma.T).tobytes() == reference.tobytes()
+    profiles = tmc.range_profiles(gamma, derived.k_p, scen.delta_f)
+    want = _old_range_profiles(reference, derived.k_p)
+    assert np.ascontiguousarray(profiles.s).tobytes() == want.tobytes()
 
 
 def test_estimate_shifts_ties_match_reference():

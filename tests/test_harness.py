@@ -596,11 +596,12 @@ class TestCliRejectsBadInput:
         assert err.startswith("error: Unable to allocate") and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "line, key", [("n_mc = 2.5", "n_mc"), ("speeds = 10 x", "speeds")]
+        "line, key", [("n_mc = 2.5", "n_mc"), ("speeds = 10 x", "speeds"),
+                      ("rho_f = 1.5", "rho_f"), ("speeds = -5", "speeds")]
     )
     def test_bad_sweep_value_names_file_and_line(self, tmp_path, capsys, line, key):
         sweep = tmp_path / "sweep.txt"
-        sweep.write_text(f"rho_f = 1.0\n{line}\n")
+        sweep.write_text(f"# one bad value on line 2\n{line}\n")
         code = main(["--sweep", str(sweep), "--out", str(tmp_path / "out")])
         assert code == 1
         err = capsys.readouterr().err
@@ -672,12 +673,13 @@ class TestConfigValuesCheckedAtParse:
 class TestConfigsThatBreakDerive:
     """Values that would divide by zero or overflow in scenario.derive, crash
     a trial later (no array elements, a negative noise temperature or seed),
-    or mean nothing (no symbols per frame, a negative cell gate, an empty
-    crop), end in an error line and exit 1, before any trial runs."""
+    or mean nothing (no symbols per frame, a frame too short for its sensing
+    symbols, a negative cell gate, an empty crop), end in an error line and
+    exit 1, before any trial runs."""
 
     LINES = ["f_c = 0", "t_f = 0", "p_t_dbm = 1e308", "noise_figure_db = 1e308",
              "n_t = 0", "n_r = 0", "t0 = -1", "seed = -3", "m = 0", "cell_gate = -1",
-             "crop_half_range = -1", "crop_half_crossrange = 0"]
+             "crop_half_range = -1", "crop_half_crossrange = 0", "t_f = 1e-4", "t_f = 1e-300"]
 
     @staticmethod
     def _check_rejected(tmp_path, capsys, line, sweep, flags=()):

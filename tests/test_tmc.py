@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import run_pipeline
-from ivasim import frontend, scenario, target, tmc
+from ivasim import frontend, imaging, numerics, scenario, target, tmc
 from ivasim.errors import ConfigurationError, DataError
 from ivasim.scenario import C_LIGHT, ScenarioConfig, derive
 from ivasim.target import TrajectoryState, exact_range, reference_index, slow_time
@@ -113,14 +114,14 @@ class TestRegularizeShifts:
 class TestCompensateDelays:
     def test_zero_delays_identity(self):
         gs = ramp_matrix(32, [1, 2, 3, 4])
-        assert np.array_equal(compensate_delays(gs, np.zeros(4), 30e3), gs)
+        assert np.array_equal(compensate_delays(gs, np.zeros(4), 30e3), gs.T)
 
     def test_forward_backward_inverse(self):
         rng = np.random.default_rng(1)
         gs = rng.standard_normal((32, 4)) + 1j * rng.standard_normal((32, 4))
         delays = rng.uniform(-1e-7, 1e-7, 4)
-        back = compensate_delays(compensate_delays(gs, delays, 30e3), -delays, 30e3)
-        assert np.abs(back - gs).max() < 1e-12
+        back = compensate_delays(compensate_delays(gs, delays, 30e3).T, -delays, 30e3)
+        assert np.abs(back.T - gs).max() < 1e-12
 
     def test_oracle_delays_align_profiles(self):
         # drifting single scatterer, compensated with true delays, peaks in one bin
@@ -158,18 +159,18 @@ class TestRangeProfiles:
         r = 37.3 * C_LIGHT / (2 * k_p * 30e3)  # 37.3 padded bins
         k = np.arange(k_s)
         column = np.exp(-4j * np.pi * k * 30e3 * r / C_LIGHT)
-        profiles = range_profiles(column[:, None], k_p, 30e3)
+        profiles = range_profiles(column[None, :], k_p, 30e3)
         assert np.argmax(np.abs(profiles.s[:, 0])) == 37
         assert profiles.axis[1] == pytest.approx(C_LIGHT / (2 * k_p * 30e3))
 
     def test_constant_column_peaks_at_zero(self):
-        profiles = range_profiles(np.ones((64, 2), dtype=complex), 128, 30e3)
+        profiles = range_profiles(np.ones((2, 64), dtype=complex), 128, 30e3)
         assert np.argmax(np.abs(profiles.s[:, 0])) == 0
 
     def test_parseval_per_column(self):
         rng = np.random.default_rng(3)
         gamma = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
-        profiles = range_profiles(gamma, 128, 30e3)
+        profiles = range_profiles(gamma.T, 128, 30e3)
         for col in range(3):
             lhs = np.sum(np.abs(profiles.s[:, col]) ** 2) / 128
             rhs = np.sum(np.abs(gamma[:, col]) ** 2)
@@ -177,7 +178,7 @@ class TestRangeProfiles:
 
     def test_k_p_too_small_rejected(self):
         with pytest.raises(ConfigurationError):
-            range_profiles(np.ones((64, 2), dtype=complex), 32, 30e3)
+            range_profiles(np.ones((2, 64), dtype=complex), 32, 30e3)
 
 
 class TestSelectReferenceCells:
@@ -186,7 +187,7 @@ class TestSelectReferenceCells:
 
     def test_static_scatterer_peak_selected(self):
         gs = ramp_matrix(64, np.full(8, 9))
-        profiles = range_profiles(gs, 64, 30e3)
+        profiles = range_profiles(gs.T, 64, 30e3)
         cells = select_reference_cells(profiles, 1)
         assert np.argmax(np.abs(profiles.s[:, 0])) in cells
 
@@ -294,6 +295,55 @@ class TestApplyPhaseCorrection:
         fit = np.polyfit(m, phase, 1)
         residual = phase - np.polyval(fit, m)
         assert np.sqrt(np.mean(residual**2)) < 0.1
+
+
+    def test_transposed_view_gives_c_ordered_block(self):
+        """Blocks of the (k_p, m_s) view range_profiles returns come back
+        C-ordered and bit-equal to those of a C-ordered copy, so each row
+        reaches the Doppler transform contiguous."""
+        rng = np.random.default_rng(8)
+        buf = rng.standard_normal((12, 65)) + 1j * rng.standard_normal((12, 65))
+        s = buf[:, 64:0:-1].T
+        cpe = rng.uniform(-9, 9, 12)
+        for rows in (slice(3, 40), np.array([5, 1, 60]), slice(None)):
+            out = apply_phase_correction(s[rows], cpe)
+            assert out.flags.c_contiguous
+            want = apply_phase_correction(np.ascontiguousarray(s[rows]), cpe)
+            assert out.tobytes() == want.tobytes()
+
+
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=40, deadline=None)
+@given(m_s=st.integers(2, 250).filter(lambda m: m % 16), k_p_log2=st.integers(3, 12),
+       band=st.floats(0.05, 1.0), tone=st.floats(0.0, 1e3), seed=st.integers(0, 2**32 - 1))
+@example(m_s=220, k_p_log2=12, band=1.0, tone=1e3, seed=0)
+@example(m_s=3, k_p_log2=3, band=1.0, tone=1e3, seed=1)
+def test_row_l1_bounds_every_corrected_row(m_s, k_p_log2, band, tone, seed):
+    """The window bound of harness._windowed_image_metrics: row_l1, summed
+    symbol by symbol over the symbol-major buffer, is within 4 m_s eps
+    (relative) of sum_m |s[n, m]|, and row_l1 (1 + 4 m_s eps) is at least
+    the peak of every phase-corrected image row. A tone whose phase the CPE
+    cancels makes one row's peak its L1 norm, the tight case."""
+    k_p = 2**k_p_log2
+    k_s = max(1, round(band * k_p))
+    rng = np.random.default_rng(seed)
+    cpe = rng.uniform(-np.pi, np.pi, m_s)
+    n0 = rng.integers(k_p)
+    amp = rng.uniform(0.5, 2.0, m_s) * np.exp(1j * cpe)
+    gamma = rng.standard_normal((m_s, k_s)) + 1j * rng.standard_normal((m_s, k_s))
+    gamma += tone * amp[:, None] * np.exp(-2j * np.pi * n0 * np.arange(k_s) / k_p)
+    profiles = tmc.range_profiles(gamma, k_p, 30e3)
+    s, row_l1 = profiles.s, profiles.row_l1
+    margin = 4 * m_s * EPS
+    direct = np.abs(s).sum(axis=1)
+    assert np.all(np.abs(row_l1 - direct) <= margin * direct)
+    m_p = numerics.next_pow2(10 * m_s)
+    for i in range(0, k_p, tmc.ROW_BLOCK):
+        rows = slice(i, i + tmc.ROW_BLOCK)
+        peak = imaging.form_image(apply_phase_correction(s[rows], cpe), m_p).max(axis=1)
+        assert np.all(row_l1[rows] * (1 + margin) >= peak)
 
 
 class TestDebugCsv:
