@@ -46,7 +46,7 @@ class BeamWeights:
 
     def pattern(self, theta) -> np.ndarray:
         """One-way pattern w^H a(theta)."""
-        return np.tensordot(np.conj(self.w), array_response(self.w.size, theta), axes=1)
+        return np.einsum("p,p...->...", np.conj(self.w), array_response(self.w.size, theta))
 
 
 def synthesize_wide_beam(

@@ -56,7 +56,7 @@ def image_contrast(image: RangeDopplerImage, window: CropWindow) -> float:
     mu = float(crop.mean())
     if mu == 0.0:
         raise DataError("contrast undefined: zero-mean crop")
-    deviation = np.linalg.norm(crop - mu)
+    deviation = np.sqrt(np.square(crop - mu).sum())
     return float(deviation / (mu * np.sqrt(crop.size)))
 
 

@@ -49,8 +49,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if not (0.0 < self.rho_f <= 1.0):
             raise ConfigurationError(f"rho_f must be in (0, 1], got {self.rho_f}")
-        if self.k * self.delta_f <= 0:
-            raise ConfigurationError("k * delta_f must be positive")
+        if self.delta_f <= 0:
+            raise ConfigurationError(f"delta_f must be positive, got {self.delta_f}")
         if self.m_s < 4 or self.m_s % 2 != 0:
             raise ConfigurationError(f"m_s must be even and >= 4, got {self.m_s}")
         t_s = 1.0 / self.delta_f + self.t_g
@@ -67,9 +67,10 @@ class ScenarioConfig:
                 f"t_g, t0 and seed must be nonnegative, got t_g={self.t_g}, t0={self.t0}, "
                 f"seed={self.seed}"
             )
-        if min(self.m, self.n_t, self.n_r) < 1:
+        if min(self.k, self.m, self.n_t, self.n_r) < 1:
             raise ConfigurationError(
-                f"m, n_t and n_r must be >= 1, got m={self.m}, n_t={self.n_t}, n_r={self.n_r}"
+                f"k, m, n_t and n_r must be >= 1, got k={self.k}, m={self.m}, n_t={self.n_t}, "
+                f"n_r={self.n_r}"
             )
         if self.f_c <= 0 or self.t_f <= 0:
             raise ConfigurationError(

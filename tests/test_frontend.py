@@ -73,6 +73,18 @@ class TestWideBeam:
             np.abs(beam.pattern(theta)), np.abs(beam.pattern(-theta)), atol=1e-9
         )
 
+    def test_pattern_of_an_azimuth_grid(self):
+        """w^H a(theta) over an (L, m_s) grid, as the sensing matrix takes it,
+        equals the explicit element sum to a few eps of its magnitude bound."""
+        beam = synthesize_wide_beam(10, 30.0, 0.0, norm=3.0)
+        theta = np.random.default_rng(1).uniform(-0.6, 0.6, (5, 220))
+        a = array_response(10, theta)
+        want = sum(np.conj(w) * a[p] for p, w in enumerate(beam.w))
+        bound = 4 * 10 * np.finfo(float).eps * np.abs(beam.w).sum()
+        got = beam.pattern(theta)
+        assert got.shape == theta.shape and np.abs(got - want).max() <= bound
+        assert abs(beam.pattern(0.25) - np.sum(np.conj(beam.w) * array_response(10, 0.25))) <= bound
+
     def test_infeasible_beamwidth(self):
         with pytest.raises(SynthesisError):
             synthesize_wide_beam(4, 5.0, 0.0, norm=1.0)  # 5 deg < 2/4 rad

@@ -408,7 +408,7 @@ class TestWindowedFallback:
         crop_cols = np.flatnonzero(np.abs(u_axis) <= options.crop_half_crossrange)
         crop = image[crop_rows][:, crop_cols]
         mu = float(crop.mean())
-        ic = float(np.linalg.norm(crop - mu) / (mu * np.sqrt(crop.size)))
+        ic = float(np.sqrt(np.square(crop - mu).sum()) / (mu * np.sqrt(crop.size)))
         delta = scen.epsilon * (float(image.max()) - float(image.min()))
         weight_total = moment_total = 0.0
         for idx in range(s.shape[0]):
@@ -679,7 +679,8 @@ class TestConfigsThatBreakDerive:
 
     LINES = ["f_c = 0", "t_f = 0", "p_t_dbm = 1e308", "noise_figure_db = 1e308",
              "n_t = 0", "n_r = 0", "t0 = -1", "seed = -3", "m = 0", "cell_gate = -1",
-             "crop_half_range = -1", "crop_half_crossrange = 0", "t_f = 1e-4", "t_f = 1e-300"]
+             "crop_half_range = -1", "crop_half_crossrange = 0", "t_f = 1e-4", "t_f = 1e-300",
+             "k = 0", "delta_f = -30e3"]
 
     @staticmethod
     def _check_rejected(tmp_path, capsys, line, sweep, flags=()):
@@ -694,11 +695,19 @@ class TestConfigsThatBreakDerive:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and line.split()[0] in err
         assert "Traceback" not in err
+        return err
 
     @pytest.mark.parametrize("sweep", [False, True], ids=["single", "sweep"])
     @pytest.mark.parametrize("line", LINES)
     def test_rejected(self, tmp_path, capsys, line, sweep):
         self._check_rejected(tmp_path, capsys, line, sweep)
+
+    @pytest.mark.parametrize("sweep", [False, True], ids=["single", "sweep"])
+    def test_negative_band(self, tmp_path, capsys, sweep):
+        """delta_f < 0 and k < 0 give a positive k * delta_f; each sign is
+        checked on its own, so the error names delta_f."""
+        err = self._check_rejected(tmp_path, capsys, "delta_f = -30e3\nk = -13200", sweep)
+        assert err == "error: delta_f must be positive, got -30000.0\n"
 
     @pytest.mark.parametrize("sweep", [False, True], ids=["single", "sweep"])
     def test_negative_seed_flag(self, tmp_path, capsys, sweep):

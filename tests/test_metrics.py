@@ -55,6 +55,13 @@ class TestImageContrast:
         scaled = image_contrast(make_image(7.5 * p), full_window(make_image(p)))
         assert scaled == pytest.approx(base, rel=1e-12)
 
+    def test_equals_std_over_mean(self):
+        """Above BLAS's threading size (10,000 bins), the same value as the
+        population std over the mean, to rounding."""
+        p = np.random.default_rng(2).uniform(0.0, 2.0, (78, 683))
+        image = make_image(p)
+        assert image_contrast(image, full_window(image)) == pytest.approx(p.std() / p.mean(), rel=1e-13)
+
     def test_zero_mean_crop_rejected(self):
         image = make_image(np.zeros((3, 3)))
         with pytest.raises(DataError):
